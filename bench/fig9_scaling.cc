@@ -88,8 +88,9 @@ int main(int argc, char** argv) {
   // Companion series: the simulator-bound data-generation stage at explicit
   // pool sizes, plus the serial reference sweep the determinism suite diffs
   // against. Outputs are bitwise-identical on every row; only wall time
-  // changes (on a single-core host the threaded rows mostly expose pool
-  // coordination overhead).
+  // changes. GenerateTrainingData simulates one sample per pool thread at a
+  // time, so the threaded rows speed up with the pool size until it reaches
+  // the sample count.
   Table threads_table("Fig. 9 companion — datagen wall time vs thread count");
   threads_table.SetHeader({"sweep", "threads", "datagen(s)"});
   const int pool_before = GlobalThreadCount();

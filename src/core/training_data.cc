@@ -1,9 +1,13 @@
 #include "core/training_data.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "od/demand.h"
 #include "od/patterns.h"
+#include "sim/engine.h"
+#include "util/thread_pool.h"
 
 namespace ovs::core {
 
@@ -22,22 +26,31 @@ od::PatternConfig PatternConfigFor(const data::Dataset& dataset) {
   return pc;
 }
 
+/// Builds the engine that simulates `tod`: demand drawn from `seed`'s
+/// stream, `works` applied, every trip moved in. Everything but Run happens
+/// here, on the calling thread, so that is where the engine's storage comes
+/// from.
+std::unique_ptr<sim::Engine> BuildEngine(
+    const data::Dataset& dataset, const od::TodTensor& tod, uint64_t seed,
+    const std::vector<sim::RoadWork>& works) {
+  Rng rng(seed);
+  od::DemandGenerator demand(&dataset.net, &dataset.regions, &dataset.od_set,
+                             dataset.config.interval_s);
+  std::vector<sim::TripRequest> trips = demand.Generate(tod, &rng);
+  auto engine =
+      std::make_unique<sim::Engine>(&dataset.net, dataset.engine_config);
+  engine->ApplyRoadWork(works);
+  for (sim::TripRequest& trip : trips) engine->AddTrip(std::move(trip));
+  return engine;
+}
+
 }  // namespace
 
 TrainingSample SimulateTod(const data::Dataset& dataset,
                            const od::TodTensor& tod, uint64_t seed,
                            const std::vector<sim::RoadWork>& works) {
-  Rng rng(seed);
-  od::DemandGenerator demand(&dataset.net, &dataset.regions, &dataset.od_set,
-                             dataset.config.interval_s);
-  std::vector<sim::TripRequest> trips = demand.Generate(tod, &rng);
-  sim::SensorData sensors =
-      sim::Simulate(dataset.net, dataset.engine_config, trips, works);
-  TrainingSample sample;
-  sample.tod = tod;
-  sample.volume = std::move(sensors.volume);
-  sample.speed = std::move(sensors.speed);
-  return sample;
+  sim::SensorData sensors = BuildEngine(dataset, tod, seed, works)->Run();
+  return {tod, std::move(sensors.volume), std::move(sensors.speed)};
 }
 
 TrainingSample SimulateGroundTruth(const data::Dataset& dataset, uint64_t seed) {
@@ -53,16 +66,36 @@ TrainingData GenerateTrainingData(const data::Dataset& dataset, int num_samples,
   std::vector<od::TodTensor> tods = od::GenerateTrainingTods(
       num_samples, dataset.num_od(), dataset.num_intervals(), pc, &rng);
 
+  // The samples are independent simulations, so they run in waves of one
+  // per pool thread. Each wave's engines are built here first, so only Run
+  // executes on the pool threads and their heaps do not grow with the
+  // engines' per-vehicle storage; inside the wave's region the engines' own
+  // per-link loops run inline. Samples and scales are gathered in sample
+  // order, so the output is bitwise-identical at every pool size.
   TrainingData out;
   out.samples.reserve(tods.size());
   double tod_max = 1.0, vol_max = 1.0, speed_max = 1.0;
-  for (size_t i = 0; i < tods.size(); ++i) {
-    TrainingSample sample =
-        SimulateTod(dataset, tods[i], seed + 1000 + i);
-    tod_max = std::max(tod_max, sample.tod.mat().Max());
-    vol_max = std::max(vol_max, sample.volume.Max());
-    speed_max = std::max(speed_max, sample.speed.Max());
-    out.samples.push_back(std::move(sample));
+  const size_t wave = static_cast<size_t>(GlobalThreadCount());
+  for (size_t first = 0; first < tods.size(); first += wave) {
+    const size_t count = std::min(wave, tods.size() - first);
+    std::vector<std::unique_ptr<sim::Engine>> engines;
+    engines.reserve(count);
+    for (size_t i = first; i < first + count; ++i) {
+      engines.push_back(BuildEngine(dataset, tods[i], seed + 1000 + i, {}));
+    }
+    std::vector<sim::SensorData> sensors(count);
+    ParallelFor(0, static_cast<int64_t>(count), 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t k = lo; k < hi; ++k) sensors[k] = engines[k]->Run();
+    });
+    for (size_t k = 0; k < count; ++k) {
+      TrainingSample sample{std::move(tods[first + k]),
+                            std::move(sensors[k].volume),
+                            std::move(sensors[k].speed)};
+      tod_max = std::max(tod_max, sample.tod.mat().Max());
+      vol_max = std::max(vol_max, sample.volume.Max());
+      speed_max = std::max(speed_max, sample.speed.Max());
+      out.samples.push_back(std::move(sample));
+    }
   }
   // Headroom so the sigmoid ceilings sit above every observed value.
   out.tod_scale = tod_max * 1.2;

@@ -29,7 +29,9 @@ struct TrainingData {
 /// Implements the paper's data-preprocess protocol (Fig. 7, training stage):
 /// generate `num_samples` TOD tensors (each 20% slice follows one of the
 /// five patterns, scaled to the dataset's demand level), push each through
-/// the microscopic simulator, and collect (TOD, volume, speed).
+/// the microscopic simulator, and collect (TOD, volume, speed). The
+/// simulations run concurrently on the global pool; sample i is always
+/// SimulateTod(dataset, tod_i, seed + 1000 + i), bitwise, at any pool size.
 TrainingData GenerateTrainingData(const data::Dataset& dataset, int num_samples,
                                   uint64_t seed);
 

@@ -8,14 +8,16 @@
 // --train_samples, --snapshot_dir=DIR (writes each city's initial OVSM
 // snapshot there, so hot-reload drills have a file to feed back), and
 // --fault=SPEC (serve/fault_injection.h). Telemetry flags (--metrics_out,
-// --report_out, --trace_out, --profile) are shared with the benches.
+// --report_out, --trace_out, --profile) are shared with the benches. An
+// integer knob that does not parse or is out of range is a usage error:
+// exit 2, before any city is built.
 //
 // SIGINT/SIGTERM shuts down gracefully: stop admission, drain in-flight up
 // to --drain_ms, flush telemetry, exit 0.
 
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "serve/server.h"
 #include "util/bench_config.h"
 #include "util/logging.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -55,43 +58,68 @@ struct ServeFlags {
   std::string fault_spec;
 };
 
-ServeFlags ParseServeFlags(int argc, char** argv) {
-  ServeFlags flags;
+constexpr char kUsage[] =
+    "usage: ovs_served [--cities=NAME,...] [--port=N] [--queue_capacity=N]\n"
+    "                  [--workers=N] [--epochs=N] [--restarts=N]\n"
+    "                  [--drain_ms=N] [--train_epochs=N] [--train_samples=N]\n"
+    "                  [--snapshot_dir=DIR] [--fault=SPEC]\n";
+
+/// An integer flag and the closed range of values it accepts.
+struct IntFlag {
+  const char* name;
+  int* value;
+  int min;
+  int max;
+};
+
+/// Fills `flags` from argv. A malformed or out-of-range integer prints a
+/// usage error and returns false; the caller exits 2.
+bool ParseServeFlags(int argc, char** argv, ServeFlags* flags) {
+  const ovs::serve::ServerOptions limits;
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const IntFlag int_flags[] = {
+      {"port", &flags->port, 1, 65535},
+      {"queue_capacity", &flags->queue_capacity, 1, kMax},
+      {"workers", &flags->workers, 1, kMax},
+      {"epochs", &flags->epochs, 1, limits.max_recovery_epochs},
+      {"restarts", &flags->restarts, 1, limits.max_restarts},
+      {"drain_ms", &flags->drain_ms, 0, kMax},
+      {"train_epochs", &flags->train_epochs, 1, kMax},
+      {"train_samples", &flags->train_samples, 1, kMax},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
     if (FlagValue(arg, "cities", &value)) {
-      flags.cities.clear();
+      flags->cities.clear();
       size_t pos = 0;
       while (pos <= value.size()) {
         size_t comma = value.find(',', pos);
         if (comma == std::string::npos) comma = value.size();
-        if (comma > pos) flags.cities.push_back(value.substr(pos, comma - pos));
+        if (comma > pos) {
+          flags->cities.push_back(value.substr(pos, comma - pos));
+        }
         pos = comma + 1;
       }
-    } else if (FlagValue(arg, "port", &value)) {
-      flags.port = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "queue_capacity", &value)) {
-      flags.queue_capacity = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "workers", &value)) {
-      flags.workers = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "epochs", &value)) {
-      flags.epochs = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "restarts", &value)) {
-      flags.restarts = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "drain_ms", &value)) {
-      flags.drain_ms = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "train_epochs", &value)) {
-      flags.train_epochs = std::atoi(value.c_str());
-    } else if (FlagValue(arg, "train_samples", &value)) {
-      flags.train_samples = std::atoi(value.c_str());
     } else if (FlagValue(arg, "snapshot_dir", &value)) {
-      flags.snapshot_dir = value;
+      flags->snapshot_dir = value;
     } else if (FlagValue(arg, "fault", &value)) {
-      flags.fault_spec = value;
+      flags->fault_spec = value;
+    }
+    for (const IntFlag& flag : int_flags) {
+      if (!FlagValue(arg, flag.name, &value)) continue;
+      const ovs::StatusOr<int> parsed = ovs::ParseInt(value, flag.name);
+      if (!parsed.ok() || *parsed < flag.min || *parsed > flag.max) {
+        std::cerr << "ovs_served: --" << flag.name << " wants an integer in ["
+                  << flag.min << ", " << flag.max << "], got '" << value
+                  << "'\n"
+                  << kUsage;
+        return false;
+      }
+      *flag.value = *parsed;
     }
   }
-  return flags;
+  return true;
 }
 
 bool CityConfigByName(const std::string& name, ovs::data::DatasetConfig* out) {
@@ -117,7 +145,8 @@ int main(int argc, char** argv) {
   ovs::BenchArgs bench_args = ovs::ParseBenchArgs(argc, argv);
   ovs::obs::Session session(
       ovs::obs::MakeBenchSessionOptions(bench_args, argv[0]));
-  const ServeFlags flags = ParseServeFlags(argc, argv);
+  ServeFlags flags;
+  if (!ParseServeFlags(argc, argv, &flags)) return 2;
 
   ovs::StatusOr<ovs::serve::FaultPlan> plan =
       ovs::serve::FaultInjector::ParseSpec(flags.fault_spec);

@@ -308,11 +308,11 @@ Response RecoveryServer::Handle(const Request& request,
   bool ready = false;
   Response out;
   Submit(request, std::move(cancel), [&](Response r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      out = std::move(r);
-      ready = true;
-    }
+    // Notify under the lock: once `ready` is visible this frame may return
+    // and destroy `cv`, so the notify must be done before the unlock.
+    std::lock_guard<std::mutex> lock(mu);
+    out = std::move(r);
+    ready = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mu);

@@ -28,6 +28,10 @@ std::map<std::string, nn::Tensor> SnapshotWeights(const core::OvsModel& model) {
 
 Status SnapshotRegistry::RegisterCity(const std::string& city,
                                       const CityOptions& options) {
+  if (options.train_samples < 1) {
+    return Status::InvalidArgument("train_samples must be >= 1, got " +
+                                   std::to_string(options.train_samples));
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (cities_.count(city) > 0) {

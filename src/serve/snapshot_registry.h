@@ -54,7 +54,8 @@ class SnapshotRegistry {
       : faults_(faults) {}
 
   /// Builds the dataset and simulator training data, trains modules 2/3,
-  /// and installs snapshot version 1. FailedPrecondition on duplicates.
+  /// and installs snapshot version 1. FailedPrecondition on duplicates,
+  /// InvalidArgument when `options.train_samples` < 1.
   Status RegisterCity(const std::string& city, const CityOptions& options);
 
   /// Immutable request-scoped view. `dataset`/`train` stay valid for the

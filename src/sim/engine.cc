@@ -44,6 +44,12 @@ Engine::Engine(const RoadNet* net, EngineConfig config)
     actuated_ = std::make_unique<ActuatedSignalController>(net_, config_.actuated);
     approach_demand_.resize(net_->num_links(), false);
   }
+  // Carve one step's scratch, in Step's order, so the arena's blocks come
+  // from the constructing thread and every step of Run only rewinds them.
+  step_arena_.NewArray<LaneIntent>(total_lanes_);
+  step_arena_.NewArray<uint32_t>(net_->num_links());
+  step_arena_.NewArray<char>(net_->num_links());
+  step_arena_.Reset();
 }
 
 bool Engine::MovementIsGreen(LinkId link, double now) const {
@@ -86,7 +92,11 @@ void Engine::AddTrip(TripRequest trip) {
   depart_time_.push_back(trip.depart_time_s);
   spawn_time_.push_back(-1.0);
   active_.push_back(0);
-  traces_.emplace_back();
+  // Sized here rather than by the first step's copy, so the double buffer
+  // is allocated on the thread that builds the engine, not the one running it.
+  prev_pos_.push_back(0.0);
+  prev_speed_.push_back(0.0);
+  if (config_.record_trajectories) traces_.emplace_back();
 }
 
 double Engine::LinkDesiredSpeed(LinkId id) const {

@@ -256,6 +256,7 @@ class Engine {
   std::vector<double> depart_time_;
   std::vector<double> spawn_time_;
   std::vector<char> active_;
+  /// Per vehicle, only when config_.record_trajectories; empty otherwise.
   std::vector<VehicleTrace> traces_;
 
   std::vector<LinkRuntime> link_states_;
@@ -264,7 +265,8 @@ class Engine {
   std::vector<int32_t> lane_offset_;
   int total_lanes_ = 0;
   /// Per-step scratch (intent slots, per-link counters, spawn flags); Reset
-  /// at every step, so steady-state steps do no heap allocation.
+  /// at every step. The constructor carves one step's worth up front, so
+  /// the arena allocates nothing once Run starts.
   Arena step_arena_;
   std::vector<int> spawn_deferred_;  ///< scratch, reused across steps
 

@@ -180,6 +180,10 @@ struct CityScale {
   int tolerance_roads;
 };
 
+// Without this gtest prints the raw bytes of the struct, i.e. a string-literal
+// address and padding, which makes the listed test names differ per process.
+void PrintTo(const CityScale& scale, std::ostream* os) { *os << scale.name; }
+
 class CityPresetTest : public ::testing::TestWithParam<CityScale> {};
 
 TEST_P(CityPresetTest, MatchesTableIIIScale) {

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -258,15 +259,36 @@ TEST(ParallelDeterminismTest, SimulateBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-// End-to-end: simulator -> training data -> one stage-1 epoch. Proves the
-// sim's determinism contract composes through the full training pipeline,
-// not just per-step (the longer multi-stage pipeline is covered above; this
-// one isolates the sim-fed front half at 1 vs 4 threads).
+void ExpectMatsBitwiseEqual(const DMat& a, const DMat& b,
+                            const std::string& what) {
+  ASSERT_EQ(a.rows(), b.rows()) << what;
+  ASSERT_EQ(a.cols(), b.cols()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                        sizeof(double) * a.rows() * a.cols()),
+            0)
+      << what << ": matrices differ at the bit level";
+}
+
+void ExpectSamplesBitwiseEqual(const core::TrainingSample& a,
+                               const core::TrainingSample& b,
+                               const std::string& what) {
+  ExpectMatsBitwiseEqual(a.tod.mat(), b.tod.mat(), what + " tod");
+  ExpectMatsBitwiseEqual(a.volume, b.volume, what + " volume");
+  ExpectMatsBitwiseEqual(a.speed, b.speed, what + " speed");
+}
+
+// End-to-end: simulator -> training data -> one stage-1 epoch, at pool sizes
+// 1, 2 and 4. GenerateTrainingData simulates its samples concurrently in
+// waves of pool size; five samples leave the last wave partly filled at 2
+// and 4 threads. Each sample must also equal a lone SimulateTod of its TOD on
+// seed + 1000 + i, which pins the per-sample seed whatever the scheduling.
 TEST(ParallelDeterminismTest, SimToStage1EpochBitwiseIdentical) {
-  auto run = [](int threads) {
+  constexpr int kSamples = 5;
+  constexpr uint64_t kSeed = 97;
+  const data::Dataset ds = data::BuildDataset(data::Synthetic3x3Config());
+  auto run = [&](int threads) {
     ThreadGuard guard(threads);
-    data::Dataset ds = data::BuildDataset(data::Synthetic3x3Config());
-    core::TrainingData train = core::GenerateTrainingData(ds, 3, 97);
+    core::TrainingData train = core::GenerateTrainingData(ds, kSamples, kSeed);
     Rng rng(13);
     core::OvsConfig config;
     config.lstm_hidden = 8;
@@ -282,29 +304,34 @@ TEST(ParallelDeterminismTest, SimToStage1EpochBitwiseIdentical) {
     const std::vector<double> losses = trainer.TrainVolumeSpeed(train).value();
     return std::make_pair(train, losses);
   };
-  auto [train1, losses1] = run(1);
-  auto [train4, losses4] = run(4);
-
-  // The simulated training tensors themselves, exact.
-  ASSERT_EQ(train1.samples.size(), train4.samples.size());
-  for (size_t s = 0; s < train1.samples.size(); ++s) {
-    const core::TrainingSample& a = train1.samples[s];
-    const core::TrainingSample& b = train4.samples[s];
-    for (int l = 0; l < a.volume.rows(); ++l) {
-      for (int t = 0; t < a.volume.cols(); ++t) {
-        ASSERT_EQ(a.volume.at(l, t), b.volume.at(l, t)) << "sample " << s;
-        ASSERT_EQ(a.speed.at(l, t), b.speed.at(l, t)) << "sample " << s;
-      }
-    }
+  const auto [train1, losses1] = run(1);
+  ASSERT_EQ(train1.samples.size(), static_cast<size_t>(kSamples));
+  for (size_t i = 0; i < train1.samples.size(); ++i) {
+    const core::TrainingSample lone =
+        core::SimulateTod(ds, train1.samples[i].tod, kSeed + 1000 + i);
+    ExpectSamplesBitwiseEqual(
+        lone, train1.samples[i],
+        "lone SimulateTod vs sample " + std::to_string(i));
   }
-  ASSERT_EQ(train1.tod_scale, train4.tod_scale);
-  ASSERT_EQ(train1.volume_norm, train4.volume_norm);
-  ASSERT_EQ(train1.speed_scale, train4.speed_scale);
 
-  // And the first training epoch on top of them.
-  ASSERT_EQ(losses1.size(), losses4.size());
-  for (size_t i = 0; i < losses1.size(); ++i) {
-    ASSERT_EQ(losses1[i], losses4[i]) << "stage1 epoch " << i;
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto [train, losses] = run(threads);
+    // The simulated training tensors themselves, exact.
+    ASSERT_EQ(train1.samples.size(), train.samples.size());
+    for (size_t i = 0; i < train1.samples.size(); ++i) {
+      ExpectSamplesBitwiseEqual(train1.samples[i], train.samples[i],
+                                "sample " + std::to_string(i));
+    }
+    ASSERT_EQ(train1.tod_scale, train.tod_scale);
+    ASSERT_EQ(train1.volume_norm, train.volume_norm);
+    ASSERT_EQ(train1.speed_scale, train.speed_scale);
+
+    // And the first training epoch on top of them.
+    ASSERT_EQ(losses1.size(), losses.size());
+    for (size_t e = 0; e < losses1.size(); ++e) {
+      ASSERT_EQ(losses1[e], losses[e]) << "stage1 epoch " << e;
+    }
   }
 }
 

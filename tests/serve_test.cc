@@ -269,6 +269,19 @@ TEST(ServeServerTest, ValidationErrorsAreStructuredAndFinal) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ServeServerTest, RegisterCityRejectsTooFewTrainingSamples) {
+  RecoveryServer server(ServerOptions{});
+  for (const int samples : {0, -3}) {
+    CityOptions copts = FastCity();
+    copts.train_samples = samples;
+    const Status status = server.RegisterCity("c", copts);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << samples;
+    EXPECT_FALSE(IsRetryable(status.code()));
+  }
+  // Nothing half-built was left behind.
+  EXPECT_EQ(server.registry().Get("c").status().code(), StatusCode::kNotFound);
+}
+
 TEST(ServeServerTest, DeadlineExceededReturnsWithinBudget) {
   SharedServer& s = SharedServer::Get();
   Request req = s.Recover("deadline", 3);

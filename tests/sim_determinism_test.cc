@@ -206,10 +206,18 @@ INSTANTIATE_TEST_SUITE_P(Threads, SimDeterminismTest,
                          ::testing::Values(1, 2, 4, 8));
 
 TEST(SimDeterminismTest, SerialReferenceIsRepeatable) {
-  const Scenario s = SpillbackScenario();
+  Scenario s = SpillbackScenario();
   const SensorData a = RunScenario(s, 1, /*force_serial=*/true);
   const SensorData b = RunScenario(s, 1, /*force_serial=*/true);
   ExpectSensorDataBitwiseEqual(a, b, "serial repeat");
+
+  // Recording trajectories only observes: the sensors read the same.
+  ASSERT_FALSE(s.config.record_trajectories);
+  s.config.record_trajectories = true;
+  const SensorData recorded = RunScenario(s, 1, /*force_serial=*/true);
+  ExpectMatsBitwiseEqual(a.volume, recorded.volume,
+                         "recording on vs off volume");
+  ExpectMatsBitwiseEqual(a.speed, recorded.speed, "recording on vs off speed");
 }
 
 // ---------------------------------------------- per-step invariants -------
