@@ -33,6 +33,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "util/bench_config.h"
+#include "util/json.h"
 
 namespace {
 
@@ -101,7 +102,7 @@ ClientTally RunClient(serve::RecoveryServer& server, int client, int requests,
     tally.latencies_ms.push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - start)
             .count());
-    if (!serve::ParseJson(serve::SerializeResponse(r)).ok()) ++tally.schema_bad;
+    if (!ovs::ParseJson(serve::SerializeResponse(r)).ok()) ++tally.schema_bad;
     if (r.status.ok()) {
       ++tally.ok;
       continue;

@@ -58,19 +58,11 @@ Status Module::Save(const std::string& path) const {
   // previous weights file intact, never a readable prefix of the new one.
   AtomicFileWriter writer(path);
   RETURN_IF_ERROR(writer.status());
-  std::ostream& out = writer.stream();
-  auto named = NamedParameters();
-  const uint32_t magic = kOvsmMagic;
-  const uint32_t tag = kVersionTag;
-  const uint32_t version = kFormatVersion;
-  const uint32_t count = static_cast<uint32_t>(named.size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& [name, v] : named) {
-    WriteTensorRecord(out, name, v.value(), /*with_crc=*/true);
-  }
+  const auto named = NamedParameters();
+  std::vector<std::pair<std::string, const Tensor*>> tensors;
+  tensors.reserve(named.size());
+  for (const auto& [name, v] : named) tensors.emplace_back(name, &v.value());
+  WriteNamedTensors(writer.stream(), tensors);
   // Commit checks the close and flush explicitly: a full disk surfacing at
   // destructor-flush time must be an error, not a silent half-file.
   return writer.Commit();

@@ -118,6 +118,16 @@ Status ReadTensorRecord(std::istream& is, const std::string& path,
   return Status::Ok();
 }
 
+void WriteNamedTensors(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, const Tensor*>>& named) {
+  const uint32_t header[] = {kOvsmMagic, kVersionTag, kFormatVersion,
+                             static_cast<uint32_t>(named.size())};
+  WritePod(os, header, sizeof(header));
+  for (const auto& [name, t] : named) {
+    WriteTensorRecord(os, name, *t, /*with_crc=*/true);
+  }
+}
 
 Status LoadNamedTensors(std::istream& is, const std::string& path, int64_t size,
                         std::map<std::string, Tensor>* out) {

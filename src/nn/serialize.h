@@ -6,6 +6,8 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/tensor.h"
 #include "util/status.h"
@@ -60,6 +62,14 @@ void WriteTensorRecord(std::ostream& os, const std::string& name,
                                            int64_t* remaining, uint32_t max_len,
                                            std::string* out);
 void WriteLenPrefixedString(std::ostream& os, const std::string& s);
+
+/// Writes a full v2 OVSM weights body (magic, version tag, version, count,
+/// CRC'd tensor records) in the order of `named`: the writer counterpart of
+/// LoadNamedTensors, shared by Module::Save and snapshot saves so both
+/// produce the same bytes for the same tensors.
+void WriteNamedTensors(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, const Tensor*>>& named);
 
 /// Parses a full OVSM weights body (magic, optional v2 tag + version, count,
 /// tensor records) from `is`, whose total length is `size` bytes. Fills `out`

@@ -4,13 +4,10 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/json_format.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace ovs::obs {
-
-using internal_json::JsonEscape;
-using internal_json::JsonNumber;
 
 double HistogramQuantile(const MetricSnapshot& s, double q) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();

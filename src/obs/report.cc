@@ -5,15 +5,12 @@
 #include <mutex>
 #include <utility>
 
-#include "obs/json_format.h"
 #include "obs/metrics.h"
 #include "util/bench_config.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace ovs::obs {
-
-using internal_json::JsonEscape;
-using internal_json::JsonNumber;
 
 namespace {
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "util/json.h"
 #include "util/logging.h"
 
 namespace ovs::obs {
@@ -139,15 +140,6 @@ ThreadBuffer* LocalBuffer() {
     return b;
   }();
   return buffer.get();
-}
-
-std::string JsonEscape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out += '\\';
-    out += *p;
-  }
-  return out;
 }
 
 }  // namespace

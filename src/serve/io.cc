@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -94,21 +95,30 @@ ConnectionStats RunConnection(RecoveryServer& server, int in_fd, int out_fd,
   auto inflight = std::make_shared<InFlight>();
   std::mutex stats_mu;
 
+  auto reject_line = [&](Status status) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mu);
+      ++stats.parse_errors;
+    }
+    OVS_COUNTER_INC("serve.requests.parse_error");
+    Response r;
+    r.status = std::move(status);
+    if (!writer->WriteLine(SerializeResponse(r))) {
+      std::lock_guard<std::mutex> lock(stats_mu);
+      ++stats.write_failures;
+    }
+  };
   auto submit_line = [&](const std::string& line) {
     if (line.empty()) return;
+    if (line.size() > kMaxRequestLineBytes) {
+      reject_line(Status::InvalidArgument(
+          "request line longer than " + std::to_string(kMaxRequestLineBytes) +
+          " bytes"));
+      return;
+    }
     StatusOr<Request> parsed = ParseRequest(line);
     if (!parsed.ok()) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.parse_errors;
-      }
-      OVS_COUNTER_INC("serve.requests.parse_error");
-      Response r;
-      r.status = parsed.status();
-      if (!writer->WriteLine(SerializeResponse(r))) {
-        std::lock_guard<std::mutex> lock(stats_mu);
-        ++stats.write_failures;
-      }
+      reject_line(parsed.status());
       return;
     }
     {
@@ -132,7 +142,13 @@ ConnectionStats RunConnection(RecoveryServer& server, int in_fd, int out_fd,
                   });
   };
 
+  // `buffer` holds the unterminated tail of the input; its first `scanned`
+  // bytes are known to hold no newline, so each byte is searched once.
+  // While `skipping`, the tail belongs to an over-long line that was already
+  // answered, and is dropped up to its newline.
   std::string buffer;
+  size_t scanned = 0;
+  bool skipping = false;
   bool eof = false;
   while (!eof && (shutdown == nullptr ||
                   !shutdown->load(std::memory_order_relaxed))) {
@@ -159,13 +175,19 @@ ConnectionStats RunConnection(RecoveryServer& server, int in_fd, int out_fd,
     }
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
-    for (;;) {
-      const size_t nl = buffer.find('\n', start);
-      if (nl == std::string::npos) break;
-      submit_line(buffer.substr(start, nl - start));
+    for (size_t nl; (nl = buffer.find('\n', scanned)) != std::string::npos;
+         scanned = start) {
+      if (!skipping) submit_line(buffer.substr(start, nl - start));
+      skipping = false;
       start = nl + 1;
     }
     buffer.erase(0, start);
+    if (!skipping && buffer.size() > kMaxRequestLineBytes) {
+      submit_line(buffer);  // answers the over-long line's one error
+      skipping = true;
+    }
+    if (skipping) buffer.clear();
+    scanned = buffer.size();
   }
   // Trailing line without newline still counts on clean EOF.
   if (eof && !buffer.empty()) submit_line(buffer);

@@ -10,12 +10,19 @@
 // burning a dead client's epochs.
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
 
 #include "serve/server.h"
 #include "util/status.h"
 
 namespace ovs::serve {
+
+/// Longest request line a connection buffers. fig9's largest grid (3,968
+/// links x 12 intervals at <= 25 bytes a cell) makes a ~1.2 MB recover
+/// request, so 16 MiB leaves more than 10x headroom while bounding what a
+/// client that never sends '\n' can pin in server memory.
+inline constexpr size_t kMaxRequestLineBytes = size_t{16} << 20;
 
 /// Statistics one connection loop returns (drill assertions read these).
 struct ConnectionStats {
@@ -26,9 +33,12 @@ struct ConnectionStats {
 };
 
 /// Reads request lines from `in_fd` until EOF or `*shutdown`, submits them,
-/// writes response lines to `out_fd`. Blocks the calling thread. Returns
-/// after all in-flight requests of this connection have answered (they are
-/// cancelled on EOF, so this is bounded by one epoch + queue time).
+/// writes response lines to `out_fd`. A line longer than
+/// kMaxRequestLineBytes answers one INVALID_ARGUMENT (counted as a parse
+/// error) and is skipped up to its newline. Blocks the calling thread.
+/// Returns after all in-flight requests of this connection have answered
+/// (they are cancelled on EOF, so this is bounded by one epoch + queue
+/// time).
 ConnectionStats RunConnection(RecoveryServer& server, int in_fd, int out_fd,
                               const std::atomic<bool>* shutdown);
 

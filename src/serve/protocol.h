@@ -17,34 +17,19 @@
 // diffs them directly). Latency lives in the obs histograms instead.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "util/json.h"
 #include "util/mat.h"
 #include "util/status.h"
 
 namespace ovs::serve {
 
-/// Minimal JSON document model for the line protocol. Objects keep their
-/// keys in a map for lookup; serialization is hand-ordered by the writers
-/// below, never driven by map order, so response bytes are stable.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number_value = 0.0;
-  std::string string_value;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  /// Object member lookup; null when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Parses one JSON document from a full line. InvalidArgument on syntax
-/// errors, trailing garbage, or nesting beyond an internal depth cap.
-[[nodiscard]] StatusOr<JsonValue> ParseJson(const std::string& text);
+/// The protocol parses with the shared codec; these names keep existing
+/// `serve::ParseJson` / `serve::JsonValue` callers compiling unchanged.
+using ::ovs::JsonValue;
+using ::ovs::ParseJson;
 
 enum class Method { kRecover, kHealth, kReload, kListCities };
 

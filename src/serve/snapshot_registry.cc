@@ -169,18 +169,12 @@ Status SnapshotRegistry::SaveSnapshot(const std::string& city,
   }
   AtomicFileWriter writer(path);
   RETURN_IF_ERROR(writer.status());
-  std::ostream& out = writer.stream();
-  const uint32_t magic = nn::kOvsmMagic;
-  const uint32_t tag = nn::kVersionTag;
-  const uint32_t version = nn::kFormatVersion;
-  const uint32_t count = static_cast<uint32_t>(snapshot->weights.size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  std::vector<std::pair<std::string, const nn::Tensor*>> tensors;
+  tensors.reserve(snapshot->weights.size());
   for (const auto& [name, t] : snapshot->weights) {
-    nn::WriteTensorRecord(out, name, t, /*with_crc=*/true);
+    tensors.emplace_back(name, &t);
   }
+  nn::WriteNamedTensors(writer.stream(), tensors);
   return writer.Commit();
 }
 

@@ -31,9 +31,13 @@ class Rng {
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
-  /// Gaussian sample with the given mean and standard deviation.
+  /// Gaussian sample with the given mean and standard deviation. Scales a
+  /// unit draw because callers pass stddev 0 (a noiseless sensor), which
+  /// std::normal_distribution forbids; for stddev > 0 the result is bitwise
+  /// the z * stddev + mean that libstdc++'s distribution computes itself.
   double Gaussian(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    const double z = std::normal_distribution<double>(0.0, 1.0)(engine_);
+    return mean + stddev * z;
   }
 
   /// Poisson sample with the given rate.

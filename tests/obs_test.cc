@@ -22,6 +22,7 @@
 #include "obs/session.h"
 #include "obs/trace.h"
 #include "obs_test_util.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace ovs {
@@ -29,7 +30,6 @@ namespace {
 
 using obs::MetricSnapshot;
 using obs::MetricsRegistry;
-using testutil::IsValidJson;
 using testutil::NumberField;
 using testutil::ThreadGuard;
 
@@ -227,7 +227,7 @@ TEST(TraceTest, ChromeTraceIsValidJsonWithNestedSpans) {
   ASSERT_TRUE(obs::WriteChromeTrace(out).ok());
   const std::string json = out.str();
 
-  ASSERT_TRUE(IsValidJson(json)) << json;
+  ASSERT_TRUE(ParseJson(json).ok()) << json;
   EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
 
   const size_t outer = json.find("\"name\":\"outer_span_fixture\"");
@@ -264,7 +264,7 @@ TEST(TraceTest, SpansOnPoolThreadsCarryTheirOwnTid) {
   std::ostringstream out;
   ASSERT_TRUE(obs::WriteChromeTrace(out).ok());
   const std::string json = out.str();
-  ASSERT_TRUE(IsValidJson(json));
+  ASSERT_TRUE(ParseJson(json).ok());
   size_t n = 0;
   for (size_t pos = json.find("\"name\":\"pool_span_fixture\"");
        pos != std::string::npos;
@@ -311,7 +311,7 @@ TEST(TraceTest, EventSoftCapDropsInsteadOfGrowing) {
   // The (incomplete) trace still exports as valid JSON.
   std::ostringstream out;
   ASSERT_TRUE(obs::WriteChromeTrace(out).ok());
-  EXPECT_TRUE(IsValidJson(out.str()));
+  EXPECT_TRUE(ParseJson(out.str()).ok());
 
   // StartTracing resets the drop accounting; restoring the default cap
   // un-gates subsequent tests.

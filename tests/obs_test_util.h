@@ -2,15 +2,12 @@
 #define OVS_TESTS_OBS_TEST_UTIL_H_
 
 // Helpers shared by the observability tests (obs_test.cc, report_test.cc):
-// a strict hand-rolled JSON syntax validator (so the exporters are not
-// tested with the same parser that ships in tools/perfdiff), a numeric
-// field extractor for spot checks, and a scope guard for the global thread
-// pool.
+// a numeric field extractor for spot checks and a scope guard for the
+// global thread pool. JSON validity is checked with ovs::ParseJson
+// (util/json), the same strict parser the server and perfdiff use.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <functional>
 #include <string>
 
 #include "util/thread_pool.h"
@@ -26,110 +23,6 @@ struct ThreadGuard {
   ~ThreadGuard() { SetGlobalThreads(before); }
   int before;
 };
-
-/// Minimal JSON syntax validator (objects, arrays, strings, numbers,
-/// true/false/null). Returns true iff `s` is one complete JSON value.
-inline bool IsValidJson(const std::string& s) {
-  size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\n' || s[i] == '\t' ||
-                            s[i] == '\r')) {
-      ++i;
-    }
-  };
-  std::function<bool()> value = [&]() -> bool {
-    skip_ws();
-    if (i >= s.size()) return false;
-    char c = s[i];
-    if (c == '{') {
-      ++i;
-      skip_ws();
-      if (i < s.size() && s[i] == '}') {
-        ++i;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        if (i >= s.size() || s[i] != '"') return false;
-        if (!value()) return false;  // key (string)
-        skip_ws();
-        if (i >= s.size() || s[i] != ':') return false;
-        ++i;
-        if (!value()) return false;
-        skip_ws();
-        if (i < s.size() && s[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < s.size() && s[i] == '}') {
-          ++i;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++i;
-      skip_ws();
-      if (i < s.size() && s[i] == ']') {
-        ++i;
-        return true;
-      }
-      while (true) {
-        if (!value()) return false;
-        skip_ws();
-        if (i < s.size() && s[i] == ',') {
-          ++i;
-          continue;
-        }
-        if (i < s.size() && s[i] == ']') {
-          ++i;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') {
-      ++i;
-      while (i < s.size() && s[i] != '"') {
-        if (s[i] == '\\') ++i;
-        ++i;
-      }
-      if (i >= s.size()) return false;
-      ++i;
-      return true;
-    }
-    if (c == 't') {
-      if (s.compare(i, 4, "true") != 0) return false;
-      i += 4;
-      return true;
-    }
-    if (c == 'f') {
-      if (s.compare(i, 5, "false") != 0) return false;
-      i += 5;
-      return true;
-    }
-    if (c == 'n') {
-      if (s.compare(i, 4, "null") != 0) return false;
-      i += 4;
-      return true;
-    }
-    // number
-    size_t start = i;
-    if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
-    bool digits = false;
-    while (i < s.size() && (std::isdigit(static_cast<unsigned char>(s[i])) ||
-                            s[i] == '.' || s[i] == 'e' || s[i] == 'E' ||
-                            s[i] == '-' || s[i] == '+')) {
-      digits = digits || std::isdigit(static_cast<unsigned char>(s[i]));
-      ++i;
-    }
-    return digits && i > start;
-  };
-  if (!value()) return false;
-  skip_ws();
-  return i == s.size();
-}
 
 /// Extracts the first `"field":<number>` after `from` in `json`.
 inline double NumberField(const std::string& json, const std::string& field,

@@ -26,13 +26,13 @@
 #include "obs/trace.h"
 #include "obs_test_util.h"
 #include "perfdiff.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace ovs {
 namespace {
 
 using obs::MetricsRegistry;
-using testutil::IsValidJson;
 using testutil::ThreadGuard;
 
 // ----------------------------------------------------------------- report --
@@ -67,7 +67,7 @@ TEST(ReportTest, JsonIsValidAndCarriesProvenance) {
   std::ostringstream os;
   ASSERT_TRUE(obs::WriteRunReportJson(report, os).ok());
   const std::string json = os.str();
-  ASSERT_TRUE(IsValidJson(json)) << json;
+  ASSERT_TRUE(ParseJson(json).ok()) << json;
   EXPECT_NE(json.find("\"schema\": \"ovs.run_report.v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"git_sha\": \"cafe1234\""), std::string::npos);
@@ -85,9 +85,9 @@ TEST(ReportTest, RoundTripsThroughPerfdiffParser) {
   std::ostringstream os;
   ASSERT_TRUE(obs::WriteRunReportJson(report, os).ok());
 
-  // The comparator ships its own parser (tools/ must stay free of src/
-  // deps); this round trip pins the two sides of the schema contract.
-  EXPECT_EQ(std::string(obs::RunReport::kSchema), perfdiff::kReportSchema);
+  // The writer and the comparator share util/json and the schema constant;
+  // this round trip pins what the comparator reads back from the writer's
+  // bytes (provenance, counters, declaration-ordered results, null -> NaN).
   perfdiff::Report parsed;
   std::string error;
   ASSERT_TRUE(perfdiff::ParseReportJson(os.str(), &parsed, &error)) << error;
@@ -180,7 +180,7 @@ TEST(ReportTest, PhaseProfileSelfTotalArithmetic) {
 
 perfdiff::Report FixtureReport() {
   perfdiff::Report report;
-  report.schema = perfdiff::kReportSchema;
+  report.schema = obs::RunReport::kSchema;
   report.binary = "fixture";
   report.bench_scale = "fast";
   report.counters["sim.vehicle_steps"] = 100000.0;
@@ -276,7 +276,7 @@ TEST(PerfdiffTest, PerMetricToleranceOverridesTheDefaultRatio) {
 
 std::string MinimalReportJson(uint64_t steps, const std::string& scale) {
   std::ostringstream os;
-  os << "{\"schema\": \"" << perfdiff::kReportSchema
+  os << "{\"schema\": \"" << obs::RunReport::kSchema
      << "\", \"binary\": \"fixture\", \"bench_scale\": \"" << scale
      << "\", \"counters\": {\"sim.steps\": " << steps
      << "}, \"results\": []}";
@@ -313,6 +313,21 @@ TEST(PerfdiffTest, RunExitCodesMatchTheContract) {
   EXPECT_EQ(perfdiff::Run(base, malformed, out, err, {}), 2);
   EXPECT_EQ(perfdiff::Run("/nonexistent/report.json", base, out, err, {}), 2);
 
+  // A tolerance that would switch the gate off is a usage error, even
+  // against the doubled counter the default tolerances flag.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<perfdiff::RunOptions> gate_off(6);
+  gate_off[0].tolerances.counter_ratio = nan;
+  gate_off[1].tolerances.result_ratio = nan;
+  gate_off[2].tolerances.counter_slack = inf;
+  gate_off[3].tolerances.result_slack = -1.0;
+  gate_off[4].tolerances.per_metric["sim.steps"] = inf;
+  gate_off[5].tolerances.per_metric["r"] = nan;
+  for (size_t i = 0; i < gate_off.size(); ++i) {
+    EXPECT_EQ(perfdiff::Run(base, doubled, out, err, gate_off[i]), 2) << i;
+  }
+
   // --format=github annotations surface on the PR.
   perfdiff::RunOptions github;
   github.format = perfdiff::RunOptions::Format::kGithub;
@@ -341,7 +356,7 @@ TEST(ReportTest, SessionWritesSchemaValidReportAndPropagatesStatus) {
   ASSERT_TRUE(in.good());
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  ASSERT_TRUE(IsValidJson(buffer.str()));
+  ASSERT_TRUE(ParseJson(buffer.str()).ok());
   perfdiff::Report parsed;
   std::string error;
   ASSERT_TRUE(perfdiff::ParseReportJson(buffer.str(), &parsed, &error))

@@ -5,12 +5,17 @@
 // repeated (seed, snapshot) requests.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,7 +29,9 @@
 #include "serve/fault_injection.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/io.h"
 #include "serve/snapshot_registry.h"
+#include "util/rng.h"
 
 namespace ovs::serve {
 namespace {
@@ -33,10 +40,26 @@ using std::chrono::steady_clock;
 
 // ---------------------------------------------------------------- protocol --
 
+constexpr const char* kRecoverLine =
+    R"({"id":"r1","method":"recover","city":"x","seed":7,"deadline_ms":250,)"
+    R"("recovery_epochs":4,"restarts":2,"observed_speed":[[1,null],[3,4]]})";
+
+/// Lines ParseRequest must reject, each for one reason.
+const std::vector<std::string>& MalformedRequestLines() {
+  static const std::vector<std::string> lines = {
+      R"({"method":"health"})",                       // missing id
+      R"({"id":"a","method":"destroy"})",             // unknown method
+      R"({"id":"a","method":"recover","city":"x"})",  // no matrix
+      R"({"id":"a","method":"recover","city":"x",)"
+      R"("observed_speed":[[1,2],[3]]})",             // ragged matrix
+      "recover please",                               // not JSON
+      R"({"id":"a","method":"health"} extra)",        // trailing garbage
+  };
+  return lines;
+}
+
 TEST(ServeProtocolTest, ParsesRecoverRequest) {
-  auto req = ParseRequest(
-      R"({"id":"r1","method":"recover","city":"x","seed":7,"deadline_ms":250,)"
-      R"("recovery_epochs":4,"restarts":2,"observed_speed":[[1,null],[3,4]]})");
+  auto req = ParseRequest(kRecoverLine);
   ASSERT_TRUE(req.ok()) << req.status().ToString();
   EXPECT_EQ(req->id, "r1");
   EXPECT_EQ(req->method, Method::kRecover);
@@ -53,20 +76,66 @@ TEST(ServeProtocolTest, ParsesRecoverRequest) {
 }
 
 TEST(ServeProtocolTest, RejectsMalformedRequests) {
-  // Missing id.
-  EXPECT_FALSE(ParseRequest(R"({"method":"health"})").ok());
-  // Unknown method.
-  EXPECT_FALSE(ParseRequest(R"({"id":"a","method":"destroy"})").ok());
-  // recover without a matrix.
-  EXPECT_FALSE(ParseRequest(R"({"id":"a","method":"recover","city":"x"})").ok());
-  // Ragged matrix.
-  EXPECT_FALSE(ParseRequest(
-                   R"({"id":"a","method":"recover","city":"x",)"
-                   R"("observed_speed":[[1,2],[3]]})")
-                   .ok());
-  // Not JSON at all / trailing garbage.
-  EXPECT_FALSE(ParseRequest("recover please").ok());
-  EXPECT_FALSE(ParseRequest(R"({"id":"a","method":"health"} extra)").ok());
+  for (const std::string& line : MalformedRequestLines()) {
+    const StatusOr<Request> req = ParseRequest(line);
+    EXPECT_EQ(req.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+}
+
+// Seeded mutation run over the request lines above plus a checked-in run
+// report: byte flips, truncation at every prefix, and splices of the tokens
+// that open nesting, strings, escapes, literals and lists. Whatever the
+// bytes, both the JSON codec and the request validator must answer OK or
+// InvalidArgument: never crash, hang, or report another error class.
+TEST(ServeProtocolTest, MutatedInputsAnswerOkOrInvalidArgument) {
+  std::vector<std::string> corpus = MalformedRequestLines();
+  corpus.push_back(kRecoverLine);
+  corpus.push_back(R"({"id":"h","method":"health"})");
+  corpus.push_back(R"({"id":"l","method":"list_cities"})");
+  corpus.push_back(
+      R"({"id":"w","method":"reload","city":"x","path":"/tmp/w"})");
+  std::ifstream baseline(OVS_SOURCE_DIR "/bench/baselines/micro_sim.json");
+  ASSERT_TRUE(baseline.good());
+  corpus.emplace_back(std::istreambuf_iterator<char>(baseline),
+                      std::istreambuf_iterator<char>());
+
+  const std::vector<std::string> splices = {"{", "[", "\"", "\\u", "null",
+                                            ","};
+  Rng rng(20211);
+  int parsed_ok = 0;
+  int mutants = 0;
+  const auto check = [&](const std::string& mutant) {
+    ++mutants;
+    const StatusOr<JsonValue> doc = ParseJson(mutant);
+    if (doc.ok()) ++parsed_ok;
+    const StatusOr<Request> req = ParseRequest(mutant);
+    return (doc.ok() ||
+            doc.status().code() == StatusCode::kInvalidArgument) &&
+           (req.ok() || req.status().code() == StatusCode::kInvalidArgument);
+  };
+  for (const std::string& seed : corpus) {
+    for (size_t len = 0; len < seed.size(); ++len) {
+      ASSERT_TRUE(check(seed.substr(0, len))) << seed.substr(0, len);
+    }
+    for (int round = 0; round < 400; ++round) {
+      std::string mutant = seed;
+      const int edits = rng.UniformInt(1, 4);
+      for (int e = 0; e < edits; ++e) {
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int>(mutant.size())));
+        if (rng.Bernoulli(0.5) && at < mutant.size()) {
+          mutant[at] = static_cast<char>(mutant[at] ^ rng.UniformInt(1, 255));
+        } else {
+          mutant.insert(at, splices[static_cast<size_t>(rng.UniformInt(
+                                0, static_cast<int>(splices.size()) - 1))]);
+        }
+      }
+      ASSERT_TRUE(check(mutant)) << mutant;
+    }
+  }
+  // The run exercised both outcomes, not just the error path.
+  EXPECT_GT(parsed_ok, 0);
+  EXPECT_LT(parsed_ok, mutants);
 }
 
 TEST(ServeProtocolTest, ErrorResponseCarriesRetryableClassification) {
@@ -122,6 +191,67 @@ TEST(ServeProtocolTest, SuccessResponseRoundTripsThroughJson) {
   ASSERT_EQ(tod->array.size(), 2u);
   EXPECT_EQ(tod->array[0].array[0].number_value, 1.25);
   EXPECT_EQ(tod->array[1].array[1].number_value, -2.0);
+}
+
+// -------------------------------------------------------------- connection --
+
+// A client that never sends '\n' must not grow server memory without bound:
+// a line past the cap answers one parse error before the line even ends,
+// the rest of it up to the newline is skipped, and the next line is served
+// normally.
+TEST(ServeConnectionTest, OverlongLineAnswersOneParseErrorThenResyncs) {
+  RecoveryServer server(ServerOptions{});
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ConnectionStats stats;
+  std::thread connection(
+      [&] { stats = RunConnection(server, fds[1], fds[1], nullptr); });
+
+  const auto send = [&](const std::string& bytes) {
+    for (size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n =
+          ::write(fds[0], bytes.data() + sent, bytes.size() - sent);
+      if (n <= 0) return;
+      sent += static_cast<size_t>(n);
+    }
+  };
+  std::string output;
+  const auto lines = [&] {
+    return std::count(output.begin(), output.end(), '\n');
+  };
+  const auto await_lines = [&](long want) {
+    while (lines() < want) {
+      struct pollfd pfd = {fds[0], POLLIN, 0};
+      if (::poll(&pfd, 1, /*timeout_ms=*/10000) <= 0) return;
+      char chunk[4096];
+      const ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
+      if (n <= 0) return;
+      output.append(chunk, static_cast<size_t>(n));
+    }
+  };
+
+  send(std::string(kMaxRequestLineBytes + 1, 'x'));
+  await_lines(1);
+  EXPECT_EQ(lines(), 1) << "no answer before the over-long line ended";
+  send("\n{\"id\":\"h\",\"method\":\"health\"}\n");
+  await_lines(2);
+  ::shutdown(fds[0], SHUT_WR);
+  connection.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+
+  EXPECT_EQ(stats.parse_errors, 1);
+  EXPECT_EQ(stats.requests, 1);
+  EXPECT_EQ(stats.responses, 1);
+  ASSERT_EQ(lines(), 2) << output;
+  const size_t nl = output.find('\n');
+  const StatusOr<JsonValue> error = ParseJson(output.substr(0, nl));
+  ASSERT_TRUE(error.ok()) << output;
+  EXPECT_EQ(error->Find("error")->Find("code")->string_value,
+            "INVALID_ARGUMENT");
+  EXPECT_FALSE(error->Find("error")->Find("retryable")->bool_value);
+  EXPECT_EQ(output.substr(nl + 1).rfind(R"({"id":"h","ok":true,)", 0), 0u)
+      << output;
 }
 
 // --------------------------------------------------------- fault injection --

@@ -4,16 +4,24 @@
 #include <filesystem>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/bench_config.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/linalg.h"
 #include "util/logging.h"
 #include "util/mat.h"
@@ -185,6 +193,31 @@ TEST(RngTest, GaussianMoments) {
   const double var = sq / n - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+}
+
+// Gaussian scales a standard normal draw rather than building a
+// distribution with the caller's stddev (0 is a precondition violation for
+// the standard library); for stddev > 0 the stream must stay bitwise what
+// std::normal_distribution(mean, stddev) produced, and stddev 0 is exact.
+TEST(RngTest, GaussianMatchesStandardDistributionBitwise) {
+  for (const uint64_t seed : {1u, 42u, 977u}) {
+    for (const double mean : {0.0, 1.5, -3.25, 120.0}) {
+      for (const double stddev : {0.1, 1.0, 2.5, 17.0}) {
+        Rng ours(seed);
+        Rng reference(seed);
+        for (int i = 0; i < 200; ++i) {
+          const double want = std::normal_distribution<double>(mean, stddev)(
+              reference.engine());
+          ASSERT_EQ(std::bit_cast<uint64_t>(ours.Gaussian(mean, stddev)),
+                    std::bit_cast<uint64_t>(want))
+              << "seed " << seed << " mean " << mean << " stddev " << stddev
+              << " draw " << i;
+        }
+      }
+      Rng rng(seed);
+      EXPECT_EQ(rng.Gaussian(mean, 0.0), mean);
+    }
+  }
 }
 
 TEST(RngTest, PoissonMean) {
@@ -636,6 +669,170 @@ TEST(TimerTest, RestartResetsTheOrigin) {
   const int64_t before_restart = t.ElapsedNanos();
   t.Restart();
   EXPECT_LT(t.ElapsedNanos(), before_restart);
+}
+
+// ------------------------------------------------------------------ Json --
+
+/// One ParseJson input: rejected with InvalidArgument, or accepted and
+/// handed to `check` (when set).
+struct JsonRow {
+  std::string input;
+  bool ok = false;
+  std::function<void(const JsonValue&)> check;
+};
+
+JsonRow Rejects(std::string input) { return {std::move(input), false, {}}; }
+
+JsonRow Accepts(std::string input) { return {std::move(input), true, {}}; }
+
+JsonRow String(std::string input, std::string want) {
+  return {std::move(input), true, [want](const JsonValue& v) {
+            ASSERT_EQ(v.kind, JsonValue::Kind::kString);
+            EXPECT_EQ(v.string_value, want);
+          }};
+}
+
+/// Numbers compare bitwise, so -0 and infinities are checked exactly.
+JsonRow Number(std::string input, double want) {
+  return {std::move(input), true, [want](const JsonValue& v) {
+            ASSERT_EQ(v.kind, JsonValue::Kind::kNumber);
+            EXPECT_EQ(std::bit_cast<uint64_t>(v.number_value),
+                      std::bit_cast<uint64_t>(want))
+                << v.number_value << " vs " << want;
+          }};
+}
+
+std::string Nested(int depth, const std::string& inner = "") {
+  return std::string(static_cast<size_t>(depth), '[') + inner +
+         std::string(static_cast<size_t>(depth), ']');
+}
+
+TEST(JsonTest, ParseTable) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<JsonRow> rows = {
+      // Every escape, and \u decoding of BMP code points to UTF-8.
+      String(R"("\"")", "\""),
+      String(R"("\\")", "\\"),
+      String(R"("\/")", "/"),
+      String(R"("\b")", "\b"),
+      String(R"("\f")", "\f"),
+      String(R"("\n")", "\n"),
+      String(R"("\r")", "\r"),
+      String(R"("\t")", "\t"),
+      String(R"("\u0041")", "A"),
+      String(R"("\u00e9")", "\xC3\xA9"),
+      String(R"("\u20AC")", "\xE2\x82\xAC"),
+      String(R"("\uFFFF")", "\xEF\xBF\xBF"),
+      String(R"("\u0000")", std::string(1, '\0')),
+      String("\"caf\xC3\xA9\"", "caf\xC3\xA9"),
+      // Lone surrogates (pairs are not decoded either), raw control
+      // characters, and malformed escapes.
+      Rejects(R"("\uD800")"),
+      Rejects(R"("\uDC00")"),
+      Rejects(R"("\uD83D\uDE00")"),
+      Rejects("\"a\nb\""),
+      Rejects("\"a\x01" "b\""),
+      Rejects("\"a\tb\""),
+      Rejects(R"("\x41")"),
+      Rejects(R"("\u12")"),
+      Rejects(R"("\u12G4")"),
+      Rejects(R"("unterminated)"),
+      // Trailing garbage, truncation, and other syntax errors.
+      Rejects(R"({"a":1} x)"),
+      Rejects("1 2"),
+      Rejects("[1,]"),
+      Rejects(R"({"a":1,})"),
+      Rejects(R"({"a"})"),
+      Rejects("[1"),
+      Rejects(""),
+      Rejects(" \n "),
+      Rejects("nul"),
+      Rejects("tru"),
+      Accepts(" \t\r\n{} \n"),
+      Accepts("[true,false,null]"),
+      // Nesting: kJsonMaxDepth levels parse, one more does not, and 100,000
+      // open brackets fail cleanly instead of overflowing the stack.
+      Accepts(Nested(kJsonMaxDepth)),
+      Accepts(Nested(kJsonMaxDepth, "1")),
+      Rejects(Nested(kJsonMaxDepth + 1)),
+      Rejects(std::string(100000, '[')),
+      // Every number form the serve request parser accepted before the codec
+      // was shared, to the same double (strtod of the token).
+      Number("0", 0.0),
+      Number("-0", -0.0),
+      Number("7", 7.0),
+      Number("-12", -12.0),
+      Number("1.25", 1.25),
+      Number("-0.5", -0.5),
+      Number("1e3", 1000.0),
+      Number("1E3", 1000.0),
+      Number("2.5e+2", 250.0),
+      Number("2.5E-2", 0.025),
+      Number("0.30000000000000004", 0.1 + 0.2),
+      Number("9007199254740993", 9007199254740992.0),
+      Number("4.9406564584124654e-324",
+             std::numeric_limits<double>::denorm_min()),
+      Number("1e999", inf),
+      Number("-1e999", -inf),
+      Number("01", 1.0),
+      Number("+1", 1.0),
+      Number(".5", 0.5),
+      Number("1.", 1.0),
+      Number("-.5", -0.5),
+      Rejects("-"),
+      Rejects("1e"),
+      Rejects("1.2.3"),
+      Rejects("--1"),
+      Rejects("0x10"),
+      Rejects("NaN"),
+      Rejects("Infinity"),
+      // A duplicate key keeps its last value.
+      {R"({"a":1,"b":true,"a":2})", true,
+       [](const JsonValue& v) {
+         ASSERT_EQ(v.object.size(), 2u);
+         ASSERT_NE(v.Find("a"), nullptr);
+         EXPECT_EQ(v.Find("a")->number_value, 2.0);
+         EXPECT_TRUE(v.Find("b")->bool_value);
+       }},
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const JsonRow& row = rows[i];
+    SCOPED_TRACE("row " + std::to_string(i) + ": " + row.input.substr(0, 40));
+    const StatusOr<JsonValue> parsed = ParseJson(row.input);
+    if (!row.ok) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (row.check) row.check(*parsed);
+  }
+}
+
+TEST(JsonTest, ErrorsNameOffsetAndLine) {
+  const StatusOr<JsonValue> parsed = ParseJson("{\n  \"a\": 1,\n  \"b\": ?\n}");
+  ASSERT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("offset 19"), std::string::npos)
+      << parsed.status().message();
+  EXPECT_NE(parsed.status().message().find("line 3"), std::string::npos)
+      << parsed.status().message();
+}
+
+TEST(JsonTest, WriterHelpersRoundTripThroughTheParser) {
+  std::string every_ascii;
+  for (int c = 1; c < 128; ++c) every_ascii.push_back(static_cast<char>(c));
+  const StatusOr<JsonValue> text =
+      ParseJson("\"" + JsonEscape(every_ascii) + "\"");
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(text->string_value, every_ascii);
+
+  for (const double v : {0.0, -0.0, 0.1, -2.5e-300, 1.0 / 3.0, 6.02214076e23}) {
+    const StatusOr<JsonValue> num = ParseJson(JsonNumber(v));
+    ASSERT_TRUE(num.ok()) << JsonNumber(v);
+    EXPECT_EQ(std::bit_cast<uint64_t>(num->number_value),
+              std::bit_cast<uint64_t>(v));
+  }
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(JsonNumber(-std::numeric_limits<double>::infinity()), "null");
 }
 
 }  // namespace

@@ -8,30 +8,29 @@
 //   --result_slack=S    absolute result slack (default 0)
 //   --tol=NAME=R        per-metric ratio override (repeatable)
 //   --format=plain|github
-// Exit code: 0 within tolerance, 1 regression, 2 usage or I/O error.
+// Exit code: 0 within tolerance, 1 regression, 2 usage or I/O error (a
+// NaN, infinite, or negative tolerance is a usage error).
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "perfdiff.h"
-
-namespace {
-
-bool ParseDouble(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end != text.c_str() && *end == '\0';
-}
-
-}  // namespace
+#include "util/parse.h"
 
 int main(int argc, char** argv) {
   std::string baseline;
   std::string current;
   std::vector<std::string> positional;
   ovs::perfdiff::RunOptions options;
+  ovs::perfdiff::Tolerances& tol = options.tolerances;
+  const std::pair<std::string, double*> number_flags[] = {
+      {"--counter_ratio=", &tol.counter_ratio},
+      {"--counter_slack=", &tol.counter_slack},
+      {"--result_ratio=", &tol.result_ratio},
+      {"--result_slack=", &tol.result_slack},
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value_of = [&arg](size_t prefix) {
@@ -57,45 +56,30 @@ int main(int argc, char** argv) {
       current = value_of(10);
       continue;
     }
-    if (arg.rfind("--counter_ratio=", 0) == 0) {
-      if (!ParseDouble(value_of(16), &options.tolerances.counter_ratio)) {
+    bool number_flag = false;
+    for (const auto& [prefix, target] : number_flags) {
+      if (arg.rfind(prefix, 0) != 0) continue;
+      const ovs::StatusOr<double> value =
+          ovs::ParseDouble(value_of(prefix.size()), arg);
+      if (!value.ok()) {
         std::cerr << "ovs_perfdiff: bad number in '" << arg << "'\n";
         return 2;
       }
-      continue;
+      *target = *value;
+      number_flag = true;
     }
-    if (arg.rfind("--counter_slack=", 0) == 0) {
-      if (!ParseDouble(value_of(16), &options.tolerances.counter_slack)) {
-        std::cerr << "ovs_perfdiff: bad number in '" << arg << "'\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg.rfind("--result_ratio=", 0) == 0) {
-      if (!ParseDouble(value_of(15), &options.tolerances.result_ratio)) {
-        std::cerr << "ovs_perfdiff: bad number in '" << arg << "'\n";
-        return 2;
-      }
-      continue;
-    }
-    if (arg.rfind("--result_slack=", 0) == 0) {
-      if (!ParseDouble(value_of(15), &options.tolerances.result_slack)) {
-        std::cerr << "ovs_perfdiff: bad number in '" << arg << "'\n";
-        return 2;
-      }
-      continue;
-    }
+    if (number_flag) continue;
     if (arg.rfind("--tol=", 0) == 0) {
       const std::string spec = value_of(6);
       const size_t eq = spec.rfind('=');
-      double ratio = 0.0;
-      if (eq == std::string::npos || eq == 0 ||
-          !ParseDouble(spec.substr(eq + 1), &ratio)) {
+      const ovs::StatusOr<double> ratio = ovs::ParseDouble(
+          eq == std::string::npos ? "" : spec.substr(eq + 1), arg);
+      if (eq == std::string::npos || eq == 0 || !ratio.ok()) {
         std::cerr << "ovs_perfdiff: expected --tol=NAME=RATIO, got '" << arg
                   << "'\n";
         return 2;
       }
-      options.tolerances.per_metric[spec.substr(0, eq)] = ratio;
+      tol.per_metric[spec.substr(0, eq)] = *ratio;
       continue;
     }
     if (arg.rfind("--format=", 0) == 0) {

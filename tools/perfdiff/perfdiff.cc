@@ -2,228 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 
+#include "obs/report.h"
+#include "util/json.h"
+
 namespace ovs::perfdiff {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// JSON parsing. Recursive descent over the raw buffer; tracks the line
-// number so parse errors in hand-edited baselines are findable.
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    const bool ok = ParseValue(out, 0) && AtEnd();
-    if (!ok && error != nullptr) {
-      std::ostringstream os;
-      os << "line " << line_ << ": "
-         << (message_.empty() ? "malformed JSON" : message_);
-      *error = os.str();
-    }
-    return ok;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  bool Fail(const std::string& message) {
-    if (message_.empty()) message_ = message;
-    return false;
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') ++line_;
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  bool AtEnd() {
-    SkipWhitespace();
-    if (pos_ != text_.size()) return Fail("trailing content after document");
-    return true;
-  }
-
-  bool Expect(char c) {
-    SkipWhitespace();
-    if (pos_ >= text_.size() || text_[pos_] != c) {
-      return Fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-    return true;
-  }
-
-  bool Literal(const char* word) {
-    const size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) != 0) return Fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Expect('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\n') return Fail("newline inside string");
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("truncated escape");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code += static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code += static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code += static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape digit");
-            }
-          }
-          // BMP-only UTF-8 encoding; report strings are metric names and
-          // never carry surrogate pairs.
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-          c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') return Fail("bad number");
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = value;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return Fail("nesting too deep");
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipWhitespace();
-      if (pos_ < text_.size() && text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        std::string key;
-        SkipWhitespace();
-        if (!ParseString(&key)) return false;
-        if (!Expect(':')) return false;
-        JsonValue member;
-        if (!ParseValue(&member, depth + 1)) return false;
-        out->object.emplace_back(std::move(key), std::move(member));
-        SkipWhitespace();
-        if (pos_ >= text_.size()) return Fail("unterminated object");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        return Expect('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipWhitespace();
-      if (pos_ < text_.size() && text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue element;
-        if (!ParseValue(&element, depth + 1)) return false;
-        out->array.push_back(std::move(element));
-        SkipWhitespace();
-        if (pos_ >= text_.size()) return Fail("unterminated array");
-        if (text_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        return Expect(']');
-      }
-    }
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't') {
-      out->kind = JsonValue::Kind::kBool;
-      out->bool_value = true;
-      return Literal("true");
-    }
-    if (c == 'f') {
-      out->kind = JsonValue::Kind::kBool;
-      out->bool_value = false;
-      return Literal("false");
-    }
-    if (c == 'n') {
-      out->kind = JsonValue::Kind::kNull;
-      return Literal("null");
-    }
-    return ParseNumber(out);
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  std::string message_;
-};
 
 /// Numbers in findings: full precision for counters, no exponent churn for
 /// the magnitudes reports actually contain.
@@ -296,27 +84,15 @@ void CompareMetric(Finding::Kind regression_kind, const std::string& metric,
 
 }  // namespace
 
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (kind != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : object) {
-    if (name == key) return &value;
-  }
-  return nullptr;
-}
-
-bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
-  Parser parser(text);
-  return parser.Parse(out, error);
-}
-
 bool ParseReportJson(const std::string& text, Report* out,
                      std::string* error) {
-  JsonValue root;
-  if (!ParseJson(text, &root, error)) return false;
   const auto fail = [error](const std::string& message) {
     if (error != nullptr) *error = message;
     return false;
   };
+  const StatusOr<JsonValue> parsed = ParseJson(text);
+  if (!parsed.ok()) return fail(parsed.status().message());
+  const JsonValue& root = *parsed;
   if (root.kind != JsonValue::Kind::kObject) {
     return fail("report root is not an object");
   }
@@ -324,22 +100,22 @@ bool ParseReportJson(const std::string& text, Report* out,
   if (schema == nullptr || schema->kind != JsonValue::Kind::kString) {
     return fail("report is missing the \"schema\" tag");
   }
-  if (schema->str != kReportSchema) {
-    return fail("unsupported report schema \"" + schema->str +
-                "\" (expected " + std::string(kReportSchema) + ")");
+  if (schema->string_value != obs::RunReport::kSchema) {
+    return fail("unsupported report schema \"" + schema->string_value +
+                "\" (expected " + obs::RunReport::kSchema + ")");
   }
-  out->schema = schema->str;
+  out->schema = schema->string_value;
   if (const JsonValue* binary = root.Find("binary");
       binary != nullptr && binary->kind == JsonValue::Kind::kString) {
-    out->binary = binary->str;
+    out->binary = binary->string_value;
   }
   if (const JsonValue* scale = root.Find("bench_scale");
       scale != nullptr && scale->kind == JsonValue::Kind::kString) {
-    out->bench_scale = scale->str;
+    out->bench_scale = scale->string_value;
   }
   if (const JsonValue* threads = root.Find("threads");
       threads != nullptr && threads->kind == JsonValue::Kind::kNumber) {
-    out->threads = threads->number;
+    out->threads = threads->number_value;
   }
   const JsonValue* counters = root.Find("counters");
   if (counters == nullptr || counters->kind != JsonValue::Kind::kObject) {
@@ -350,7 +126,7 @@ bool ParseReportJson(const std::string& text, Report* out,
     if (value.kind != JsonValue::Kind::kNumber) {
       return fail("counter \"" + name + "\" is not a number");
     }
-    out->counters[name] = value.number;
+    out->counters[name] = value.number_value;
   }
   const JsonValue* results = root.Find("results");
   if (results == nullptr || results->kind != JsonValue::Kind::kArray) {
@@ -365,9 +141,10 @@ bool ParseReportJson(const std::string& text, Report* out,
       return fail("result row is missing \"name\" or \"value\"");
     }
     // The report writer serializes non-finite values as null.
-    const double v = value->kind == JsonValue::Kind::kNumber ? value->number
-                                                             : std::nan("");
-    out->results.emplace_back(name->str, v);
+    const double v = value->kind == JsonValue::Kind::kNumber
+                         ? value->number_value
+                         : std::nan("");
+    out->results.emplace_back(name->string_value, v);
   }
   return true;
 }
@@ -464,6 +241,22 @@ std::string FormatFindingGithub(const Finding& finding) {
 
 int Run(const std::string& baseline_path, const std::string& current_path,
         std::ostream& out, std::ostream& err, const RunOptions& options) {
+  const Tolerances& tol = options.tolerances;
+  std::vector<std::pair<std::string, double>> limits = {
+      {"counter_ratio", tol.counter_ratio},
+      {"counter_slack", tol.counter_slack},
+      {"result_ratio", tol.result_ratio},
+      {"result_slack", tol.result_slack}};
+  for (const auto& [name, ratio] : tol.per_metric) {
+    limits.emplace_back("tol " + name, ratio);
+  }
+  for (const auto& [name, value] : limits) {
+    if (!std::isfinite(value) || value < 0.0) {
+      err << "perfdiff: tolerance " << name << " = " << FormatNumber(value)
+          << " must be finite and non-negative\n";
+      return 2;
+    }
+  }
   Report baseline;
   Report current;
   std::string error;

@@ -1,9 +1,12 @@
 #ifndef OVS_TOOLS_PERFDIFF_PERFDIFF_H_
 #define OVS_TOOLS_PERFDIFF_PERFDIFF_H_
 
-// perfdiff: a dependency-free comparator for ovs.run_report.v1 documents
-// (emitted by bench binaries via --report_out=). It diffs a fresh report
-// against a checked-in baseline under bench/baselines/ and flags
+// perfdiff: a comparator for ovs.run_report.v1 documents (emitted by bench
+// binaries via --report_out=). It reads reports with the repo's JSON codec
+// (util/json) and accepts only the tag obs::RunReport::kSchema, so the
+// report writer and the gate share one parser and one schema constant. It
+// diffs a fresh report against a checked-in baseline under bench/baselines/
+// and flags
 //
 //   * work-counter growth   — a deterministic counter (vehicle steps, GEMM
 //     flops, epochs, restarts) exceeding baseline * ratio + slack. Counters
@@ -21,8 +24,8 @@
 // time, gauges, threadpool.* metrics, and the phase tree are never compared.
 //
 // Mirrors tools/lint: a library (linked by tests/report_test.cc) plus a thin
-// CLI. Exit codes (Run): 0 = within tolerance, 1 = regression, 2 = usage or
-// I/O/parse error.
+// CLI. Exit codes (Run): 0 = within tolerance, 1 = regression, 2 = usage,
+// tolerance, or I/O/parse error.
 
 #include <map>
 #include <ostream>
@@ -33,35 +36,7 @@
 namespace ovs::perfdiff {
 
 // ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough for run reports, no external deps.
-
-/// A parsed JSON value. Object member order is preserved (reports are
-/// emitted in deterministic order and tests assert on it).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kObject, kArray };
-  Kind kind = Kind::kNull;
-  bool bool_value = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::vector<JsonValue> array;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Parses one JSON document. Trailing non-whitespace is an error. On failure
-/// returns false and stores a "line N: ..." description in `error`.
-[[nodiscard]] bool ParseJson(const std::string& text, JsonValue* out,
-                             std::string* error);
-
-// ---------------------------------------------------------------------------
 // Run-report model.
-
-/// The schema tag reports are expected to carry. Kept in sync with
-/// obs::RunReport::kSchema by tests/report_test.cc (this tool must stay free
-/// of src/ dependencies).
-inline constexpr const char* kReportSchema = "ovs.run_report.v1";
 
 /// The compared slice of a run report. `results` preserves declaration
 /// order; non-finite values arrive as NaN (the writer emits them as null).
@@ -91,7 +66,9 @@ struct Report {
 /// with ratio taken from `per_metric` when the metric name has an override.
 /// The counter slack absorbs small absolute wobble in tiny counters (e.g. a
 /// divergence-restart count shifting by a couple under a different libm);
-/// the multiplicative ratio carries the gate for large ones.
+/// the multiplicative ratio carries the gate for large ones. Every value
+/// must be finite and non-negative: a NaN or infinite limit would pass any
+/// report, so Run rejects such tolerances as a usage error.
 struct Tolerances {
   double counter_ratio = 1.5;
   double counter_slack = 16.0;
@@ -143,8 +120,9 @@ struct RunOptions {
   Tolerances tolerances;
 };
 
-/// Loads both reports, compares, and prints findings plus a one-line
-/// summary. Returns the process exit code documented above.
+/// Validates the tolerances, loads both reports, compares, and prints
+/// findings plus a one-line summary. Returns the process exit code
+/// documented above.
 [[nodiscard]] int Run(const std::string& baseline_path,
                       const std::string& current_path, std::ostream& out,
                       std::ostream& err, const RunOptions& options = {});
