@@ -86,34 +86,23 @@ int main(int argc, char** argv) {
       "count (paper Fig. 9).\n");
 
   // Companion series: the simulator-bound data-generation stage at explicit
-  // pool sizes, plus the serial reference sweep the determinism suite diffs
-  // against. Outputs are bitwise-identical on every row; only wall time
-  // changes. GenerateTrainingData simulates one sample per pool thread at a
-  // time, so the threaded rows speed up with the pool size until it reaches
-  // the sample count.
+  // pool sizes. Outputs are bitwise-identical on every row; only wall time
+  // changes. Each simulation is serial, and GenerateTrainingData runs one
+  // sample per pool thread at a time, so the rows speed up with the pool
+  // size until it reaches the sample count.
   Table threads_table("Fig. 9 companion — datagen wall time vs thread count");
-  threads_table.SetHeader({"sweep", "threads", "datagen(s)"});
+  threads_table.SetHeader({"threads", "datagen(s)"});
   const int pool_before = GlobalThreadCount();
-  struct ThreadRow {
-    bool force_serial;
-    int threads;
-  };
-  for (const ThreadRow row : {ThreadRow{true, 1}, ThreadRow{false, 1},
-                              ThreadRow{false, 2}, ThreadRow{false, 4}}) {
-    SetGlobalThreads(row.threads);
-    data::Dataset dataset = data::BuildDataset(data::ScalingConfig(100));
-    dataset.engine_config.force_serial_sweep = row.force_serial;
+  for (const int threads : {1, 2, 4}) {
+    SetGlobalThreads(threads);
+    const data::Dataset dataset = data::BuildDataset(data::ScalingConfig(100));
     Timer datagen;
     core::TrainingData train =
         core::GenerateTrainingData(dataset, train_samples, 2002);
     const double datagen_s = datagen.ElapsedSeconds();
     std::ignore = train;
-    threads_table.AddRow({row.force_serial ? "serial" : "parallel",
-                          std::to_string(row.threads),
-                          Table::Cell(datagen_s, 2)});
-    std::printf("[fig9] datagen %s @%d thread(s): %.2f s\n",
-                row.force_serial ? "serial-reference" : "parallel",
-                row.threads, datagen_s);
+    threads_table.AddRow({std::to_string(threads), Table::Cell(datagen_s, 2)});
+    std::printf("[fig9] datagen @%d thread(s): %.2f s\n", threads, datagen_s);
   }
   SetGlobalThreads(pool_before);
   threads_table.Print();

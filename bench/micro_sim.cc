@@ -14,7 +14,6 @@
 #include "sim/engine.h"
 #include "sim/router.h"
 #include "util/bench_config.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -46,48 +45,6 @@ void BM_EngineRun(benchmark::State& state) {
       3600.0 * state.iterations(), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EngineRun)->Args({3, 500})->Args({5, 2000})->Args({10, 5000})
-    ->Unit(benchmark::kMillisecond);
-
-// The two-phase engine sweep at an explicit pool size (compare threads:1 vs
-// threads:4 rows), plus the serial reference sweep (serial:1) that the
-// determinism suite diffs against. Sensor output is bitwise-identical across
-// every row; only wall time changes. On a single-core host the CPU/iter
-// column still shows the coordination overhead the pool adds, which is the
-// number worth tracking there.
-void BM_EngineRunThreaded(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const bool force_serial = state.range(1) != 0;
-  SetGlobalThreads(threads);
-  sim::RoadNet net = sim::MakeGridNetwork(8, 8, 300.0, 2, 13.89);
-  sim::Router router(&net);
-  Rng rng(1);
-  std::vector<sim::TripRequest> trips;
-  for (int i = 0; i < 3000; ++i) {
-    const int o = rng.UniformInt(0, net.num_intersections() - 1);
-    int d = rng.UniformInt(0, net.num_intersections() - 1);
-    if (d == o) d = (d + 1) % net.num_intersections();
-    StatusOr<sim::Route> route = router.CachedRoute(o, d);
-    if (!route.ok()) continue;
-    trips.push_back({rng.Uniform(0.0, 3600.0), route.value()});
-  }
-  sim::EngineConfig config;
-  config.duration_s = 3600.0;
-  config.force_serial_sweep = force_serial;
-  for (auto _ : state) {
-    sim::SensorData out = sim::Simulate(net, config, trips);
-    benchmark::DoNotOptimize(out.completed_trips);
-  }
-  state.counters["threads"] = threads;
-  state.counters["serial"] = force_serial ? 1 : 0;
-  state.counters["steps/s"] = benchmark::Counter(
-      3600.0 * state.iterations(), benchmark::Counter::kIsRate);
-  SetGlobalThreads(1);
-}
-BENCHMARK(BM_EngineRunThreaded)
-    ->Args({1, 1})  // serial reference sweep
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({4, 0})
     ->Unit(benchmark::kMillisecond);
 
 void BM_Dijkstra(benchmark::State& state) {

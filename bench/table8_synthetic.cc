@@ -43,13 +43,6 @@ int main(int argc, char** argv) {
 
   data::DatasetConfig config = data::Synthetic3x3Config();
   data::Dataset dataset = data::BuildDataset(config);
-  if (args.force_serial_sweep) {
-    dataset.engine_config.force_serial_sweep = true;
-    // Keep the marker prefix distinct from "[table8"; the CI sim-parity job
-    // diffs the grep'd "[table8..." lines of a serial and a parallel run and
-    // this line must not appear in either side of that diff.
-    std::printf("[sweep] serial reference sweep (--force_serial_sweep)\n");
-  }
 
   od::PatternConfig pattern_config;
   pattern_config.interval_minutes = config.interval_s / 60.0;

@@ -67,11 +67,11 @@ TrainingData GenerateTrainingData(const data::Dataset& dataset, int num_samples,
       num_samples, dataset.num_od(), dataset.num_intervals(), pc, &rng);
 
   // The samples are independent simulations, so they run in waves of one
-  // per pool thread. Each wave's engines are built here first, so only Run
-  // executes on the pool threads and their heaps do not grow with the
-  // engines' per-vehicle storage; inside the wave's region the engines' own
-  // per-link loops run inline. Samples and scales are gathered in sample
-  // order, so the output is bitwise-identical at every pool size.
+  // per pool thread; this is where simulation uses more than one core, since
+  // each Engine::Run is serial. Each wave's engines are built here first, so
+  // only Run executes on the pool threads and their heaps do not grow with
+  // the engines' per-vehicle storage. Samples and scales are gathered in
+  // sample order, so the output is bitwise-identical at every pool size.
   TrainingData out;
   out.samples.reserve(tods.size());
   double tod_max = 1.0, vol_max = 1.0, speed_max = 1.0;

@@ -5,24 +5,8 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace ovs::sim {
-
-namespace {
-
-/// Block size for the light per-link ParallelFors (actuation scan, sensing,
-/// interval flush). Small grids stay on the calling thread and only
-/// city-scale nets fan out.
-constexpr int64_t kLinkGrain = 256;
-
-/// Block size for the phase-1 movement sweep, which does the Krauss physics
-/// for every vehicle on the link and is an order of magnitude heavier per
-/// link. The grain only affects scheduling, never results: phase-1 links are
-/// mutually independent by construction.
-constexpr int64_t kMoveGrain = 64;
-
-}  // namespace
 
 Engine::Engine(const RoadNet* net, EngineConfig config)
     : net_(net), config_(config), signals_(net, config.signal_plan) {
@@ -47,7 +31,6 @@ Engine::Engine(const RoadNet* net, EngineConfig config)
   // Carve one step's scratch, in Step's order, so the arena's blocks come
   // from the constructing thread and every step of Run only rewinds them.
   step_arena_.NewArray<LaneIntent>(total_lanes_);
-  step_arena_.NewArray<uint32_t>(net_->num_links());
   step_arena_.NewArray<char>(net_->num_links());
   step_arena_.Reset();
 }
@@ -103,39 +86,20 @@ double Engine::LinkDesiredSpeed(LinkId id) const {
   return net_->link(id).speed_limit_mps * link_states_[id].speed_factor;
 }
 
-double Engine::LaneRearSpace(LinkId link, int lane) const {
+double Engine::LaneRearSpace(LinkId link, int lane,
+                             const std::vector<double>& pos) const {
   const auto& q = link_states_[link].lanes[lane];
   if (q.empty()) return net_->link(link).length_m;
-  return pos_[q.back()] - config_.car_following.vehicle_length;
+  return pos[q.back()] - config_.car_following.vehicle_length;
 }
 
-double Engine::LaneRearSpacePrev(LinkId link, int lane) const {
-  const auto& q = link_states_[link].lanes[lane];
-  if (q.empty()) return net_->link(link).length_m;
-  return prev_pos_[q.back()] - config_.car_following.vehicle_length;
-}
-
-int Engine::PickEntryLane(LinkId link, double entry_pos) const {
+int Engine::PickEntryLane(LinkId link, double entry_pos,
+                          const std::vector<double>& pos) const {
   const LinkRuntime& state = link_states_[link];
   int best = -1;
   double best_space = -1.0;
   for (int lane = 0; lane < state.usable_lanes; ++lane) {
-    const double space = LaneRearSpace(link, lane);
-    if (space - entry_pos >= config_.car_following.min_gap &&
-        space > best_space) {
-      best = lane;
-      best_space = space;
-    }
-  }
-  return best;
-}
-
-int Engine::PickEntryLanePrev(LinkId link, double entry_pos) const {
-  const LinkRuntime& state = link_states_[link];
-  int best = -1;
-  double best_space = -1.0;
-  for (int lane = 0; lane < state.usable_lanes; ++lane) {
-    const double space = LaneRearSpacePrev(link, lane);
+    const double space = LaneRearSpace(link, lane, pos);
     if (space - entry_pos >= config_.car_following.min_gap &&
         space > best_space) {
       best = lane;
@@ -147,7 +111,7 @@ int Engine::PickEntryLanePrev(LinkId link, double entry_pos) const {
 
 bool Engine::TrySpawn(int vehicle_idx, double now) {
   const LinkId first = RouteLinkAt(vehicle_idx, 0);
-  const int lane = PickEntryLane(first, 0.0);
+  const int lane = PickEntryLane(first, 0.0, pos_);
   if (lane < 0) return false;
   active_[vehicle_idx] = 1;
   lane_[vehicle_idx] = lane;
@@ -165,24 +129,21 @@ bool Engine::TrySpawn(int vehicle_idx, double now) {
   return true;
 }
 
-void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents,
-                            uint32_t* link_vehicle_steps) {
+void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents) {
   const CarFollowingParams& cf = config_.car_following;
   const double dt = config_.dt_s;
   const Link& link = net_->link(id);
   LinkRuntime& state = link_states_[id];
   const double desired = LinkDesiredSpeed(id);
-  uint32_t steps_here = 0;
 
   const int lanes = static_cast<int>(state.lanes.size());
   for (int lane = 0; lane < lanes; ++lane) {
     auto& lane_q = state.lanes[lane];
+    total_vehicle_steps_ += lane_q.size();
     // Front-to-back: followers see their leader's already-updated state,
-    // which keeps platoons stable at dt = 1 s. The whole lane is owned by
-    // this call, so that read is same-thread and deterministic.
+    // which keeps platoons stable at dt = 1 s.
     for (size_t i = 0; i < lane_q.size(); ++i) {
       const int vid = lane_q[i];
-      ++steps_here;
       double gap;
       double leader_speed;
       bool green = false;
@@ -195,8 +156,8 @@ void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents,
         leader_speed = speed_[leader];
       } else {
         // Front vehicle: look across the intersection. All cross-link reads
-        // below go through the prev_* double buffer, so the outcome cannot
-        // depend on how far other links have progressed within this step.
+        // below go through the prev_* double buffer, so the outcome does not
+        // depend on which links the sweep has already moved this step.
         const double dist_to_end = link.length_m - pos_[vid];
         if (last_link) {
           // Destination at the link end: drive freely off the network.
@@ -205,12 +166,14 @@ void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents,
         } else {
           green = MovementIsGreen(id, now);
           next = RouteLinkAt(vid, route_idx_[vid] + 1);
-          const int next_lane = green ? PickEntryLanePrev(next, 0.0) : -1;
+          const int next_lane =
+              green ? PickEntryLane(next, 0.0, prev_pos_) : -1;
           if (next_lane >= 0) {
             // Gap extends into the next link up to its rear space. This is
             // only a speed estimate: the authoritative entry decision is
             // re-made by phase 2 against committed state.
-            gap = dist_to_end + LaneRearSpacePrev(next, next_lane) - cf.min_gap;
+            gap = dist_to_end + LaneRearSpace(next, next_lane, prev_pos_) -
+                  cf.min_gap;
             const auto& next_q = link_states_[next].lanes[next_lane];
             leader_speed = next_q.empty() ? desired : prev_speed_[next_q.back()];
           } else {
@@ -246,15 +209,14 @@ void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents,
       pos_[vid] = std::min(new_pos, link.length_m);
     }
   }
-  link_vehicle_steps[id] = steps_here;
 }
 
 void Engine::ApplyTransfersPhase2(const LaneIntent* intents, double now,
                                   int interval, SensorData* out) {
   const CarFollowingParams& cf = config_.car_following;
-  // Canonical commit order — ascending link id, then lane index — is the
-  // whole determinism story: phase 1 may run under any sharding, but the
-  // queue mutations below always happen in this exact sequence.
+  // Canonical commit order — ascending link id, then lane index. Each
+  // crossing re-picks its entry lane against the transfers committed before
+  // it, so this order decides which of two competing crossings gets in.
   const int num_links = net_->num_links();
   for (LinkId id = 0; id < num_links; ++id) {
     LinkRuntime& state = link_states_[id];
@@ -284,14 +246,14 @@ void Engine::ApplyTransfersPhase2(const LaneIntent* intents, double now,
       // transfer this phase may have consumed the space it saw (or opened
       // new space). Rejection is itself deterministic (same canonical order
       // every run), and the vehicle simply waits at the stop line.
-      const int next_lane = PickEntryLane(intent.next_link, 0.0);
+      const int next_lane = PickEntryLane(intent.next_link, 0.0, pos_);
       if (next_lane < 0) {
         pos_[vid] = net_->link(id).length_m;
         speed_[vid] = 0.0;
         continue;
       }
       const double rear =
-          LaneRearSpace(intent.next_link, next_lane) - cf.min_gap;
+          LaneRearSpace(intent.next_link, next_lane, pos_) - cf.min_gap;
       lane_q.pop_front();
       ++route_idx_[vid];
       lane_[vid] = next_lane;
@@ -310,23 +272,19 @@ void Engine::Step(int step, double now, int interval, SensorData* out) {
   // Actuated control: collect per-approach calls, then advance the
   // controller before movement decisions are made this step.
   if (actuated_ != nullptr) {
-    // Per-link read-only scan with a disjoint per-link flag write — safe
-    // and bitwise-deterministic for any thread count.
-    ParallelFor(0, net_->num_links(), kLinkGrain, [&](int64_t lo, int64_t hi) {
-      for (int64_t id = lo; id < hi; ++id) {
-        const Link& link = net_->link(static_cast<LinkId>(id));
-        char demand = 0;
-        for (const auto& lane_q : link_states_[id].lanes) {
-          if (lane_q.empty()) continue;
-          if (link.length_m - pos_[lane_q.front()] <=
-              config_.actuation_distance_m) {
-            demand = 1;
-            break;
-          }
+    for (LinkId id = 0; id < net_->num_links(); ++id) {
+      const Link& link = net_->link(id);
+      char demand = 0;
+      for (const auto& lane_q : link_states_[id].lanes) {
+        if (lane_q.empty()) continue;
+        if (link.length_m - pos_[lane_q.front()] <=
+            config_.actuation_distance_m) {
+          demand = 1;
+          break;
         }
-        approach_demand_[id] = demand;
       }
-    });
+      approach_demand_[id] = demand;
+    }
     actuated_->Update(now, approach_demand_);
   }
 
@@ -338,28 +296,12 @@ void Engine::Step(int step, double now, int interval, SensorData* out) {
 
   step_arena_.Reset();
   LaneIntent* intents = step_arena_.NewArray<LaneIntent>(total_lanes_);
-  uint32_t* link_vehicle_steps =
-      step_arena_.NewArray<uint32_t>(net_->num_links());
 
-  // Phase 1: per-link kinematics + boundary intents. Links are mutually
-  // independent (cross-link reads hit the prev_* buffer, writes touch only
-  // the link's own vehicles and intent slots), so any sharding produces the
-  // same result. force_serial_sweep runs the identical kernel on the
-  // calling thread — the differential reference the determinism tests
-  // compare against.
-  const auto sweep = [&](int64_t lo, int64_t hi) {
-    for (int64_t id = lo; id < hi; ++id) {
-      SweepLinkPhase1(static_cast<LinkId>(id), now, intents,
-                      link_vehicle_steps);
-    }
-  };
-  if (config_.force_serial_sweep) {
-    sweep(0, net_->num_links());
-  } else {
-    ParallelFor(0, net_->num_links(), kMoveGrain, sweep);
-  }
-  for (int id = 0; id < net_->num_links(); ++id) {
-    total_vehicle_steps_ += link_vehicle_steps[id];
+  // Phase 1: per-link kinematics + boundary intents, in link-id order.
+  // Cross-link reads hit the prev_* buffer and writes touch only the link's
+  // own vehicles and intent slots, so no link sees another's update.
+  for (LinkId id = 0; id < net_->num_links(); ++id) {
+    SweepLinkPhase1(id, now, intents);
   }
 
   // Phase 2: serial canonical-order commit of completions and transfers.
@@ -391,20 +333,15 @@ void Engine::Step(int step, double now, int interval, SensorData* out) {
   }
 
   // Speed sensing: every active vehicle contributes its current speed to its
-  // current link's accumulator. Each link's accumulators are written only by
-  // the thread owning its block, and the per-link summation order (lane,
-  // then queue position) is independent of the blocking, so the sums are
-  // bitwise-identical for any thread count.
-  ParallelFor(0, net_->num_links(), kLinkGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t id = lo; id < hi; ++id) {
-      for (const auto& lane_q : link_states_[id].lanes) {
-        for (int vid : lane_q) {
-          speed_sum_[id] += speed_[vid];
-          speed_obs_[id] += 1;
-        }
+  // current link's accumulator, summed in lane, then queue, order.
+  for (LinkId id = 0; id < net_->num_links(); ++id) {
+    for (const auto& lane_q : link_states_[id].lanes) {
+      for (int vid : lane_q) {
+        speed_sum_[id] += speed_[vid];
+        speed_obs_[id] += 1;
       }
     }
-  });
+  }
 
   OVS_COUNTER_INC("sim.steps");
   if (step_observer_) step_observer_(*this, step);
@@ -430,6 +367,18 @@ SensorData Engine::Run() {
   });
   pending_.assign(order.begin(), order.end());
 
+  // Writes an interval's mean sensed speed per link (free flow where no
+  // vehicle was seen) and clears the accumulators for the next one.
+  const auto flush_speeds = [&](int interval) {
+    for (LinkId l = 0; l < net_->num_links(); ++l) {
+      out.speed.at(l, interval) = speed_obs_[l] > 0
+                                      ? speed_sum_[l] / speed_obs_[l]
+                                      : LinkDesiredSpeed(l);
+      speed_sum_[l] = 0.0;
+      speed_obs_[l] = 0;
+    }
+  };
+
   const int steps = static_cast<int>(config_.duration_s / config_.dt_s + 0.5);
   int current_interval = 0;
   for (int step = 0; step < steps; ++step) {
@@ -437,34 +386,18 @@ SensorData Engine::Run() {
     const int interval =
         std::min(intervals - 1, static_cast<int>(now / config_.interval_s));
     if (interval != current_interval) {
-      // Flush the finished interval's speed accumulators (disjoint per-link
-      // writes; deterministic for any thread count).
       OVS_TRACE_SCOPE("sim.interval_flush");
       OVS_COUNTER_INC("sim.interval_flushes");
       // Sampled at interval cadence, not per step: a full bench run emits
       // millions of steps, which would dominate the trace file.
       OVS_TRACE_COUNTER("sim.active_vehicles",
                         static_cast<double>(active_count_));
-      ParallelFor(0, net_->num_links(), kLinkGrain,
-                  [&](int64_t lo, int64_t hi) {
-                    for (int64_t l = lo; l < hi; ++l) {
-                      out.speed.at(static_cast<int>(l), current_interval) =
-                          speed_obs_[l] > 0
-                              ? speed_sum_[l] / speed_obs_[l]
-                              : LinkDesiredSpeed(static_cast<LinkId>(l));
-                      speed_sum_[l] = 0.0;
-                      speed_obs_[l] = 0;
-                    }
-                  });
+      flush_speeds(current_interval);
       current_interval = interval;
     }
     Step(step, now, interval, &out);
   }
-  // Flush the final interval.
-  for (int l = 0; l < net_->num_links(); ++l) {
-    out.speed.at(l, current_interval) =
-        speed_obs_[l] > 0 ? speed_sum_[l] / speed_obs_[l] : LinkDesiredSpeed(l);
-  }
+  flush_speeds(current_interval);
 
   // Sensor degradation happens after the physics: the simulated city is
   // intact, only its measurements are corrupted.

@@ -43,12 +43,6 @@ struct EngineConfig {
   /// sim/sensor_faults.h). All-off by default; deterministic given the
   /// fault seed regardless of thread count.
   SensorFaultConfig sensor_faults;
-  /// Runs the phase-1 movement sweep serially in canonical link order
-  /// instead of sharding it over the thread pool. This is the differential
-  /// reference for the determinism contract: the parallel sweep must be
-  /// bitwise-identical to this mode at every thread count
-  /// (tests/sim_determinism_test.cc and the CI sim-parity job enforce it).
-  bool force_serial_sweep = false;
 
   int NumIntervals() const {
     // At least one sensor bucket even when the horizon is shorter than the
@@ -103,11 +97,13 @@ struct SensorData {
 /// link sensors. Deterministic: same network + trips => same sensor output,
 /// bitwise, at any thread count.
 ///
-/// Vehicle state lives in structure-of-arrays form and each step runs a
-/// two-phase sweep: phase 1 computes kinematics and boundary intents per
-/// link in parallel (cross-link reads go through a double buffer of the
+/// Vehicle state lives in structure-of-arrays form and each step runs
+/// serially in two phases: phase 1 computes kinematics and boundary intents
+/// link by link (cross-link reads go through a double buffer of the
 /// previous step's state), phase 2 commits completions and link transfers
-/// serially in canonical link-id order. See DESIGN.md "Parallel simulator".
+/// in canonical link-id order. One Run uses one thread; callers that need
+/// throughput run whole engines concurrently (GenerateTrainingData). See
+/// DESIGN.md "Simulator step (two-phase commit)".
 ///
 /// Usage: construct, optionally ApplyRoadWork, AddTrip for every vehicle,
 /// then Run() once. The engine is single-shot; build a new one per scenario.
@@ -197,17 +193,17 @@ class Engine {
 
   /// Picks the lane on `link` with the most rear space; returns the lane
   /// index, or -1 if no lane can accept a vehicle at position `entry_pos`.
-  /// Reads committed state; used by spawning and phase-2 re-validation.
-  int PickEntryLane(LinkId link, double entry_pos) const;
-  /// Same, but reads the previous step's double buffer. Phase 1 must use
-  /// this for cross-link looks so its result cannot depend on how far other
-  /// links have progressed within the current step.
-  int PickEntryLanePrev(LinkId link, double entry_pos) const;
+  /// Vehicle positions are read from `pos`: spawning and phase 2 pass the
+  /// committed pos_, phase 1 passes the previous step's prev_pos_ for its
+  /// cross-link looks, so its result cannot depend on which links the sweep
+  /// has already moved this step.
+  int PickEntryLane(LinkId link, double entry_pos,
+                    const std::vector<double>& pos) const;
 
-  /// Rear space available on a lane: position of its last vehicle minus its
-  /// length, or the link length when empty.
-  double LaneRearSpace(LinkId link, int lane) const;
-  double LaneRearSpacePrev(LinkId link, int lane) const;
+  /// Rear space available on a lane, positions read from `pos`: position of
+  /// its last vehicle minus its length, or the link length when empty.
+  double LaneRearSpace(LinkId link, int lane,
+                       const std::vector<double>& pos) const;
 
   /// Attempts to place vehicle `v` at the head of its first link.
   bool TrySpawn(int vehicle_idx, double now);
@@ -218,10 +214,10 @@ class Engine {
   /// Phase 1 for one link: advance every vehicle on it (front-to-back per
   /// lane) and record at most one boundary intent per lane into `intents`
   /// (indexed by lane_offset_[link] + lane). Writes only this link's
-  /// vehicles and intent slots, reads other links only through the prev_*
-  /// double buffer — safe and order-independent under any link sharding.
-  void SweepLinkPhase1(LinkId id, double now, LaneIntent* intents,
-                      uint32_t* link_vehicle_steps);
+  /// vehicles and intent slots, and reads other links only through the
+  /// prev_* double buffer, so its result does not depend on which links
+  /// were swept before it.
+  void SweepLinkPhase1(LinkId id, double now, LaneIntent* intents);
 
   /// Phase 2: commit completions and transfers serially in canonical order
   /// (ascending link id, then lane index). Each crossing picks its entry
@@ -264,9 +260,9 @@ class Engine {
   /// per-step intent array.
   std::vector<int32_t> lane_offset_;
   int total_lanes_ = 0;
-  /// Per-step scratch (intent slots, per-link counters, spawn flags); Reset
-  /// at every step. The constructor carves one step's worth up front, so
-  /// the arena allocates nothing once Run starts.
+  /// Per-step scratch (intent slots, spawn flags); Reset at every step.
+  /// The constructor carves one step's worth up front, so the arena
+  /// allocates nothing once Run starts.
   Arena step_arena_;
   std::vector<int> spawn_deferred_;  ///< scratch, reused across steps
 

@@ -14,16 +14,29 @@ IntersectionId RoadNet::AddIntersection(double x, double y, bool signalized) {
   return node.id;
 }
 
+const char* RoadNet::LinkError(IntersectionId from, IntersectionId to,
+                               double length_m, int num_lanes,
+                               double speed_limit_mps) const {
+  if (from < 0 || from >= num_intersections() || to < 0 ||
+      to >= num_intersections()) {
+    return "dangling endpoint";
+  }
+  if (from == to) return "self-loop";
+  if (!std::isfinite(length_m) || length_m <= 0.0) {
+    return "length must be finite and > 0";
+  }
+  if (num_lanes <= 0) return "lanes must be > 0";
+  if (!std::isfinite(speed_limit_mps) || speed_limit_mps <= 0.0) {
+    return "speed limit must be finite and > 0";
+  }
+  return nullptr;
+}
+
 LinkId RoadNet::AddLink(IntersectionId from, IntersectionId to, double length_m,
                         int num_lanes, double speed_limit_mps) {
-  CHECK_GE(from, 0);
-  CHECK_LT(from, num_intersections());
-  CHECK_GE(to, 0);
-  CHECK_LT(to, num_intersections());
-  CHECK_NE(from, to) << "self-loop link";
-  CHECK_GT(length_m, 0.0);
-  CHECK_GT(num_lanes, 0);
-  CHECK_GT(speed_limit_mps, 0.0);
+  const char* error =
+      LinkError(from, to, length_m, num_lanes, speed_limit_mps);
+  CHECK(error == nullptr) << error;
   Link link;
   link.id = num_links();
   link.from = from;
@@ -68,17 +81,18 @@ Status RoadNet::Validate() const {
     return Status::FailedPrecondition("road network has no intersections");
   }
   for (const Link& l : links_) {
-    if (l.from < 0 || l.from >= num_intersections() || l.to < 0 ||
-        l.to >= num_intersections()) {
+    if (const char* error = LinkError(l.from, l.to, l.length_m, l.num_lanes,
+                                      l.speed_limit_mps)) {
       return Status::FailedPrecondition("link " + std::to_string(l.id) +
-                                        " has dangling endpoint");
-    }
-    if (l.length_m <= 0.0 || l.num_lanes <= 0 || l.speed_limit_mps <= 0.0) {
-      return Status::FailedPrecondition("link " + std::to_string(l.id) +
-                                        " has non-positive geometry");
+                                        ": " + error);
     }
   }
   for (const Intersection& node : intersections_) {
+    if (!std::isfinite(node.x) || !std::isfinite(node.y)) {
+      return Status::FailedPrecondition("intersection " +
+                                        std::to_string(node.id) +
+                                        " has non-finite coordinates");
+    }
     for (LinkId id : node.incoming) {
       if (id < 0 || id >= num_links() || links_[id].to != node.id) {
         return Status::Internal("incoming index corrupt at intersection " +

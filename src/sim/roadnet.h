@@ -45,9 +45,17 @@ class RoadNet {
   /// Adds an intersection at (x, y); returns its id.
   IntersectionId AddIntersection(double x, double y, bool signalized = true);
 
-  /// Adds a directed link; endpoints must already exist. Returns its id.
+  /// Adds a directed link; LinkError must accept it. Returns its id.
   LinkId AddLink(IntersectionId from, IntersectionId to, double length_m,
                  int num_lanes, double speed_limit_mps);
+
+  /// Why a link with these fields cannot join this network, or nullptr when
+  /// it can: endpoints must exist and differ, length and speed limit must be
+  /// finite and > 0, lanes > 0. AddLink CHECKs it; loaders of outside data
+  /// call it first and return the reason as a status.
+  const char* LinkError(IntersectionId from, IntersectionId to,
+                        double length_m, int num_lanes,
+                        double speed_limit_mps) const;
 
   /// Adds both directions between a and b with shared geometry.
   void AddRoad(IntersectionId a, IntersectionId b, double length_m,
@@ -79,9 +87,9 @@ class RoadNet {
   /// by the two-phase signal controller.
   bool LinkIsNorthSouth(LinkId id) const;
 
-  /// Checks structural invariants: every link endpoint exists, lengths and
-  /// lane counts are positive, every intersection is reachable from some
-  /// link (isolated intersections are allowed but flagged as OK).
+  /// Checks structural invariants: every link passes LinkError, coordinates
+  /// are finite, every intersection is reachable from some link (isolated
+  /// intersections are allowed but flagged as OK).
   [[nodiscard]] Status Validate() const;
 
  private:

@@ -1,5 +1,6 @@
 #include "sim/roadnet_io.h"
 
+#include <cmath>
 #include <fstream>
 
 #include "util/atomic_file.h"
@@ -69,6 +70,9 @@ StatusOr<RoadNet> LoadRoadNet(const std::string& path) {
     ASSIGN_OR_RETURN(const double y, ParseDouble(f[2], ctx("intersection y")));
     ASSIGN_OR_RETURN(const int signalized,
                      ParseInt(f[3], ctx("intersection signalized")));
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return Status::DataLoss(ctx("intersection") + ": x/y must be finite");
+    }
     const int id = net.AddIntersection(x, y, signalized != 0);
     if (id != row_id) {
       return Status::DataLoss("non-sequential intersection ids in " + path);
@@ -88,6 +92,11 @@ StatusOr<RoadNet> LoadRoadNet(const std::string& path) {
     ASSIGN_OR_RETURN(const int lanes, ParseInt(f[4], ctx("link lanes")));
     ASSIGN_OR_RETURN(const double speed_limit,
                      ParseDouble(f[5], ctx("link speed_limit")));
+    // Checked here because AddLink CHECK-fails on a bad link.
+    if (const char* error =
+            net.LinkError(from, to, length, lanes, speed_limit)) {
+      return Status::DataLoss(ctx("link") + ": " + error);
+    }
     const int id = net.AddLink(from, to, length, lanes, speed_limit);
     if (id != row_id) {
       return Status::DataLoss("non-sequential link ids in " + path);

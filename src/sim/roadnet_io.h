@@ -12,7 +12,9 @@ namespace ovs::sim {
 /// exported from OpenStreetMap tooling can be reviewed and versioned.
 [[nodiscard]] Status SaveRoadNet(const RoadNet& net, const std::string& path);
 
-/// Loads a network written by SaveRoadNet. Validates before returning.
+/// Loads a network written by SaveRoadNet. Validates before returning: a
+/// malformed row, a link that RoadNet::LinkError rejects, or a non-finite
+/// coordinate is DataLoss naming `path:line`, never a process abort.
 [[nodiscard]] StatusOr<RoadNet> LoadRoadNet(const std::string& path);
 
 }  // namespace ovs::sim

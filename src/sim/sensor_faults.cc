@@ -105,11 +105,12 @@ StatusOr<SensorFaultConfig> ParseSensorFaultSpec(std::string_view spec) {
       return Status::InvalidArgument("unknown sensor fault key '" +
                                      std::string(key) + "'");
     }
-    if (v < 0.0 || (probability && v > 1.0)) {
+    // ParseDouble accepts "nan" and "inf"; neither is a usable setting.
+    if (!std::isfinite(v) || v < 0.0 || (probability && v > 1.0)) {
       return Status::InvalidArgument(
           "sensor_fault." + std::string(key) + "=" + std::string(value) +
           (probability ? " is not a probability in [0, 1]"
-                       : " must be >= 0"));
+                       : " must be finite and >= 0"));
     }
     *target = v;
   }

@@ -61,7 +61,8 @@ struct SensorFaultConfig {
 /// Parses a "--sensor_fault=" spec: comma-separated key:value pairs with
 /// keys dropout / blackout / stuck / noise / spike / spike_mag / nan / seed,
 /// e.g. "dropout:0.3,noise:1.0". Probabilities must lie in [0, 1]; noise
-/// and spike_mag must be >= 0. An empty spec is the all-off config.
+/// and spike_mag must be finite and >= 0. An empty spec is the all-off
+/// config.
 [[nodiscard]] StatusOr<SensorFaultConfig> ParseSensorFaultSpec(
     std::string_view spec);
 

@@ -57,8 +57,6 @@ BenchArgs ParseBenchArgs(int argc, char** argv) {
       args.profile = true;
     } else if (arg == "--resume") {
       args.resume = true;
-    } else if (arg == "--force_serial_sweep") {
-      args.force_serial_sweep = true;
     }
   }
   return args;
@@ -68,8 +66,7 @@ bool IsBenchArg(const std::string& arg) {
   return HasPrefix(arg, kTrace) || HasPrefix(arg, kMetrics) ||
          HasPrefix(arg, kReport) || HasPrefix(arg, kCkptDir) ||
          HasPrefix(arg, kCkptEvery) || HasPrefix(arg, kSensorFault) ||
-         arg == "--profile" || arg == "--resume" ||
-         arg == "--force_serial_sweep";
+         arg == "--profile" || arg == "--resume";
 }
 
 }  // namespace ovs

@@ -42,17 +42,13 @@ struct BenchArgs {
   /// faults. String-only here (ovs_util cannot depend on ovs_sim); benches
   /// hand it to sim::ParseSensorFaultSpec.
   std::string sensor_fault;
-  /// Run the simulator's serial reference sweep (--force_serial_sweep)
-  /// instead of the two-phase parallel sweep. Outputs are bitwise-identical
-  /// either way; CI's sim-parity job diffs the two to prove it.
-  bool force_serial_sweep = false;
 };
 
 /// Parses --trace_out= / --metrics_out= / --report_out= / --profile /
-/// --checkpoint_dir= / --checkpoint_every= / --resume / --sensor_fault= /
-/// --force_serial_sweep from argv. Unrecognized
-/// arguments are ignored (benches own any extra flags); a recognized flag
-/// missing or with a malformed value keeps the default.
+/// --checkpoint_dir= / --checkpoint_every= / --resume / --sensor_fault=
+/// from argv. Unrecognized arguments are ignored (benches own any extra
+/// flags); a recognized flag missing or with a malformed value keeps the
+/// default.
 BenchArgs ParseBenchArgs(int argc, char** argv);
 
 /// True when `arg` is one of the flags ParseBenchArgs understands. The

@@ -195,6 +195,47 @@ TEST(RoadNetIoTest, CorruptFileFails) {
   std::remove(path.c_str());
 }
 
+// One bad row per case, each in an otherwise valid two-node file. Every one
+// must come back as a status naming the line, not abort the process in
+// RoadNet::AddLink's CHECKs.
+TEST(RoadNetIoTest, BadRowsReturnStatusInsteadOfAborting) {
+  struct BadRow {
+    const char* what;
+    const char* node1;  // second intersection row
+    const char* link;   // the one link row
+  };
+  const BadRow cases[] = {
+      {"endpoint out of range", "1,100,0,1", "0,0,2,100,1,10"},
+      {"negative endpoint", "1,100,0,1", "0,-1,1,100,1,10"},
+      {"self-loop", "1,100,0,1", "0,1,1,100,1,10"},
+      {"zero length", "1,100,0,1", "0,0,1,0,1,10"},
+      {"negative length", "1,100,0,1", "0,0,1,-5,1,10"},
+      {"nan length", "1,100,0,1", "0,0,1,nan,1,10"},
+      {"infinite length", "1,100,0,1", "0,0,1,inf,1,10"},
+      {"zero lanes", "1,100,0,1", "0,0,1,100,0,10"},
+      {"zero speed limit", "1,100,0,1", "0,0,1,100,1,0"},
+      {"nan speed limit", "1,100,0,1", "0,0,1,100,1,nan"},
+      {"infinite speed limit", "1,100,0,1", "0,0,1,100,1,inf"},
+      {"nan x", "1,nan,0,1", "0,0,1,100,1,10"},
+      {"infinite y", "1,100,-inf,1", "0,0,1,100,1,10"},
+  };
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ovs_net_badrow.txt").string();
+  for (const BadRow& c : cases) {
+    {
+      std::ofstream out(path);
+      out << "OVSNET,1\nintersections,2\n0,0,0,1\n"
+          << c.node1 << "\nlinks,1\n" << c.link << "\n";
+    }
+    StatusOr<sim::RoadNet> loaded = sim::LoadRoadNet(path);
+    ASSERT_FALSE(loaded.ok()) << c.what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.what;
+    EXPECT_NE(loaded.status().message().find(path + ":"), std::string::npos)
+        << c.what << ": " << loaded.status();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(RoadNetIoTest, SaveRejectsInvalidNetwork) {
   sim::RoadNet empty;
   const std::string path =

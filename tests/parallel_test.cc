@@ -218,11 +218,11 @@ TEST(ParallelDeterminismTest, SingleRestartMatchesAcrossThreadCounts) {
 
 // -------------------------------------------------------------- Simulator --
 
-// Direct Simulate() comparison: with the two-phase sweep, the sensor pair is
-// bitwise-identical at 1 vs 4 threads (broader thread/scenario coverage
-// lives in sim_determinism_test.cc; this is the pipeline-level smoke).
+// Direct Simulate() comparison: the sensor pair is bitwise-identical at 1 vs
+// 4 threads (golden hashes over more scenarios and pool sizes live in
+// sim_determinism_test.cc; this is the pipeline-level smoke).
 TEST(ParallelDeterminismTest, SimulateBitwiseIdenticalAcrossThreadCounts) {
-  auto run = [](int threads, bool force_serial) {
+  auto run = [](int threads) {
     ThreadGuard guard(threads);
     sim::RoadNet net = sim::MakeGridNetwork(4, 4, 250.0, 2, 13.89);
     sim::Router router(&net);
@@ -230,7 +230,6 @@ TEST(ParallelDeterminismTest, SimulateBitwiseIdenticalAcrossThreadCounts) {
     sim::EngineConfig config;
     config.duration_s = 900.0;
     config.interval_s = 300.0;
-    config.force_serial_sweep = force_serial;
     std::vector<sim::TripRequest> trips;
     for (int i = 0; i < 300; ++i) {
       const int o = rng.UniformInt(0, net.num_intersections() - 1);
@@ -241,9 +240,9 @@ TEST(ParallelDeterminismTest, SimulateBitwiseIdenticalAcrossThreadCounts) {
     }
     return sim::Simulate(net, config, trips);
   };
-  const sim::SensorData reference = run(1, /*force_serial=*/true);
+  const sim::SensorData reference = run(1);
   for (int threads : {1, 4}) {
-    const sim::SensorData got = run(threads, /*force_serial=*/false);
+    const sim::SensorData got = run(threads);
     ASSERT_EQ(reference.volume.rows(), got.volume.rows());
     for (int l = 0; l < reference.volume.rows(); ++l) {
       for (int t = 0; t < reference.volume.cols(); ++t) {

@@ -318,6 +318,14 @@ TEST(SensorFaultsTest, ParseSpecRejectsMalformedEntries) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseSensorFaultSpec("noise:-1").status().code(),
             StatusCode::kInvalidArgument);
+  // ParseDouble reads "nan" and "inf"; the spec must not. NaN slips past a
+  // plain range check, and an infinite noise or spike turns speeds into inf.
+  for (const char* spec :
+       {"dropout:nan", "noise:inf", "spike:1,spike_mag:inf", "spike_mag:nan"}) {
+    EXPECT_EQ(ParseSensorFaultSpec(spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+  }
   // A non-numeric value propagates ParseDouble's own error code.
   EXPECT_FALSE(ParseSensorFaultSpec("dropout:abc").ok());
 }

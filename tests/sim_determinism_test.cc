@@ -1,20 +1,31 @@
-// Differential proof of the simulator's determinism contract: the parallel
-// two-phase sweep must produce results bitwise-identical to the serial
-// reference (EngineConfig::force_serial_sweep) at 1/2/4/8 threads, across
-// four scenario families — signalized grids (fixed and actuated), spillback-
-// heavy funnels, road-work perturbations, and degraded sensors. Comparisons
-// are exact: double bit patterns via memcmp, never tolerances.
+// Golden-output proof of the simulator's determinism contract: every
+// scenario's outputs must hash to a pinned constant at pools 1/2/4/8,
+// across four scenario families — signalized grids (fixed and actuated),
+// spillback-heavy funnels, road-work perturbations, and degraded sensors —
+// plus the ground-truth runs of the Manhattan and synthetic3x3 datasets.
+// When recorded, the constants matched the serial reference sweep that the
+// engine's outputs were once diffed against, so they pin that reference
+// without keeping a second code path. Comparisons are exact: a 64-bit
+// FNV-1a fold over the double bit patterns, never tolerances. On a mismatch the test prints the actual value as a literal;
+// re-pinning after an intended output change means pasting it into
+// kGoldenHashes.
 //
 // The same scenarios also run under the SimInvariantChecker step observer,
 // which asserts vehicle conservation, queue consistency, per-lane FIFO, and
-// lane capacity at every single dt step in both sweep modes.
+// lane capacity at every single dt step at pools 1 and 4.
 
 #include <cstring>
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/training_data.h"
+#include "data/cities.h"
 #include "sim/engine.h"
 #include "sim/roadnet.h"
 #include "sim/router.h"
@@ -138,11 +149,9 @@ std::vector<Scenario> AllScenarios() {
   return all;
 }
 
-SensorData RunScenario(const Scenario& s, int threads, bool force_serial) {
+SensorData RunScenario(const Scenario& s, int threads) {
   ThreadGuard guard(threads);
-  EngineConfig config = s.config;
-  config.force_serial_sweep = force_serial;
-  Engine engine(&s.net, config);
+  Engine engine(&s.net, s.config);
   engine.ApplyRoadWork(s.works);
   for (const TripRequest& trip : s.trips) engine.AddTrip(trip);
   return engine.Run();
@@ -183,22 +192,103 @@ void ExpectSensorDataBitwiseEqual(const SensorData& a, const SensorData& b,
   }
 }
 
+// ------------------------------------------------------- golden outputs ---
+
+// Pinned output hashes, one per scenario. Paste a failure's printed line
+// over its row to re-pin after an intended output change.
+struct GoldenHash {
+  const char* name;
+  uint64_t hash;
+};
+constexpr GoldenHash kGoldenHashes[] = {
+    {"signalized-fixed", 0x27374b9e142a50cbull},
+    {"signalized-actuated", 0xf351156708610bfeull},
+    {"spillback", 0xf41edf13f5892eadull},
+    {"road-work", 0xb99307f6dae89aa9ull},
+    {"sensor-fault", 0xd6dcf81eeded3304ull},
+    {"ground-truth-manhattan", 0xb2916fc948037134ull},
+    {"ground-truth-synthetic3x3", 0xea71aee5d1b08fd7ull},
+};
+
+// FNV-1a over 64-bit words, seeded as ovsbench's scenario checksum is, so a
+// volume+speed hash here equals that checksum for the same run.
+uint64_t Fold(uint64_t h, uint64_t word) {
+  return (h ^ word) * 1099511628211ull;
+}
+
+uint64_t FoldDouble(uint64_t h, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return Fold(h, bits);
+}
+
+uint64_t HashVolumeSpeed(const DMat& volume, const DMat& speed) {
+  uint64_t h = 1469598103934665603ull;
+  for (const DMat* m : {&volume, &speed}) {
+    for (int i = 0; i < m->numel(); ++i) h = FoldDouble(h, m->data()[i]);
+  }
+  return h;
+}
+
+// Every SensorData field: volume, speed, trip counts, mean travel time, and
+// each recorded trajectory (route, entry times, departure, finish).
+uint64_t HashSensorData(const SensorData& d) {
+  uint64_t h = HashVolumeSpeed(d.volume, d.speed);
+  for (const int count :
+       {d.spawned_trips, d.completed_trips, d.unspawned_trips}) {
+    h = Fold(h, static_cast<uint64_t>(count));
+  }
+  h = FoldDouble(h, d.mean_travel_time_s);
+  for (const VehicleTrace& trace : d.trajectories) {
+    h = Fold(h, trace.route.size());
+    for (const LinkId link : trace.route) {
+      h = Fold(h, static_cast<uint64_t>(link));
+    }
+    for (const double t : trace.entry_times) h = FoldDouble(h, t);
+    h = FoldDouble(h, trace.depart_time_s);
+    h = FoldDouble(h, trace.finish_time_s);
+  }
+  return h;
+}
+
+void ExpectGoldenHash(const std::string& name, uint64_t actual) {
+  char literal[96];
+  std::snprintf(literal, sizeof(literal), "{\"%s\", 0x%016" PRIx64 "ull},",
+                name.c_str(), actual);
+  for (const GoldenHash& golden : kGoldenHashes) {
+    if (name != golden.name) continue;
+    EXPECT_EQ(actual, golden.hash)
+        << name << " outputs changed; actual: " << literal;
+    return;
+  }
+  ADD_FAILURE() << "no golden hash for " << name << "; actual: " << literal;
+}
+
 // ------------------------------------------------- differential suite -----
 
+// The serial reference is the pinned hashes: every scenario must reproduce
+// them at every pool size.
 class SimDeterminismTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimDeterminismTest, ParallelMatchesSerialReferenceBitwise) {
   const int threads = GetParam();
   for (const Scenario& s : AllScenarios()) {
     SCOPED_TRACE(s.name);
-    const SensorData reference = RunScenario(s, 1, /*force_serial=*/true);
+    const SensorData out = RunScenario(s, threads);
     // The scenarios must exercise real traffic, not empty networks.
-    ASSERT_GT(reference.spawned_trips, 0) << s.name;
-    ASSERT_GT(reference.completed_trips, 0) << s.name;
-    const SensorData parallel = RunScenario(s, threads, /*force_serial=*/false);
-    ExpectSensorDataBitwiseEqual(reference, parallel,
-                                 s.name + " @" + std::to_string(threads) +
-                                     " threads");
+    ASSERT_GT(out.spawned_trips, 0) << s.name;
+    ASSERT_GT(out.completed_trips, 0) << s.name;
+    ExpectGoldenHash(s.name, HashSensorData(out));
+  }
+  // The benchmark's city and the serve city, end to end from the dataset.
+  ThreadGuard guard(threads);
+  for (const auto& [name, config] :
+       {std::pair{"ground-truth-manhattan", data::ManhattanConfig()},
+        std::pair{"ground-truth-synthetic3x3", data::Synthetic3x3Config()}}) {
+    SCOPED_TRACE(name);
+    const data::Dataset dataset = data::BuildDataset(config);
+    const core::TrainingSample truth = core::SimulateGroundTruth(dataset, 4242);
+    ExpectGoldenHash(name, HashVolumeSpeed(truth.volume, truth.speed));
   }
 }
 
@@ -207,14 +297,14 @@ INSTANTIATE_TEST_SUITE_P(Threads, SimDeterminismTest,
 
 TEST(SimDeterminismTest, SerialReferenceIsRepeatable) {
   Scenario s = SpillbackScenario();
-  const SensorData a = RunScenario(s, 1, /*force_serial=*/true);
-  const SensorData b = RunScenario(s, 1, /*force_serial=*/true);
+  const SensorData a = RunScenario(s, 1);
+  const SensorData b = RunScenario(s, 1);
   ExpectSensorDataBitwiseEqual(a, b, "serial repeat");
 
   // Recording trajectories only observes: the sensors read the same.
   ASSERT_FALSE(s.config.record_trajectories);
   s.config.record_trajectories = true;
-  const SensorData recorded = RunScenario(s, 1, /*force_serial=*/true);
+  const SensorData recorded = RunScenario(s, 1);
   ExpectMatsBitwiseEqual(a.volume, recorded.volume,
                          "recording on vs off volume");
   ExpectMatsBitwiseEqual(a.speed, recorded.speed, "recording on vs off speed");
@@ -222,23 +312,22 @@ TEST(SimDeterminismTest, SerialReferenceIsRepeatable) {
 
 // ---------------------------------------------- per-step invariants -------
 
+// The parameter picks the pool: true (SerialReference) runs at pool 1,
+// false (Parallel) at pool 4.
 class SimInvariantsTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SimInvariantsTest, ScenariosHoldPhysicalInvariantsEveryStep) {
-  const bool force_serial = GetParam();
-  ThreadGuard guard(force_serial ? 1 : 4);
+  ThreadGuard guard(GetParam() ? 1 : 4);
   for (const Scenario& s : AllScenarios()) {
     SCOPED_TRACE(s.name);
-    EngineConfig config = s.config;
-    config.force_serial_sweep = force_serial;
-    Engine engine(&s.net, config);
+    Engine engine(&s.net, s.config);
     engine.ApplyRoadWork(s.works);
     for (const TripRequest& trip : s.trips) engine.AddTrip(trip);
     SimInvariantChecker checker(&s.net, &engine, s.name);
     checker.Install(&engine);
     const SensorData out = engine.Run();
     EXPECT_EQ(checker.steps_checked(),
-              static_cast<int>(config.duration_s / config.dt_s + 0.5));
+              static_cast<int>(s.config.duration_s / s.config.dt_s + 0.5));
     // Post-run global conservation, including vehicles still en route.
     EXPECT_EQ(out.spawned_trips,
               out.completed_trips + engine.active_vehicles());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sim/car_following.h"
 #include "sim/engine.h"
@@ -61,6 +62,23 @@ TEST(RoadNetTest, EastWestLinkClassified) {
 TEST(RoadNetTest, ValidateEmptyFails) {
   RoadNet net;
   EXPECT_FALSE(net.Validate().ok());
+}
+
+TEST(RoadNetTest, ValidateRejectsNonFiniteGeometry) {
+  RoadNet net;
+  net.AddIntersection(0, 0);
+  net.AddIntersection(std::numeric_limits<double>::quiet_NaN(), 0);
+  net.AddLink(0, 1, 100.0, 1, 10.0);
+  EXPECT_FALSE(net.Validate().ok());
+
+  // Link geometry is checked once, by LinkError, for AddLink and Validate.
+  EXPECT_NE(net.LinkError(0, 1, std::numeric_limits<double>::infinity(), 1,
+                          10.0),
+            nullptr);
+  EXPECT_NE(net.LinkError(0, 1, 100.0, 1,
+                          std::numeric_limits<double>::quiet_NaN()),
+            nullptr);
+  EXPECT_EQ(net.LinkError(0, 1, 100.0, 1, 10.0), nullptr);
 }
 
 TEST(RoadNetTest, FreeFlowTime) {
