@@ -15,22 +15,22 @@ Engine::Engine(const RoadNet* net, EngineConfig config)
   CHECK_GT(config_.interval_s, 0.0);
   CHECK_GT(config_.duration_s, 0.0);
   link_states_.resize(net_->num_links());
-  lane_offset_.resize(net_->num_links());
+  occupancy_.resize(net_->num_links(), 0);
+  size_t total_lanes = 0;
   for (const Link& l : net_->links()) {
     link_states_[l.id].lanes.resize(l.num_lanes);
     link_states_[l.id].usable_lanes = l.num_lanes;
-    lane_offset_[l.id] = total_lanes_;
-    total_lanes_ += l.num_lanes;
+    total_lanes += l.num_lanes;
   }
+  intents_.reserve(total_lanes);
   speed_sum_.resize(net_->num_links(), 0.0);
   speed_obs_.resize(net_->num_links(), 0);
   if (config_.enable_signals && config_.use_actuated_signals) {
     actuated_ = std::make_unique<ActuatedSignalController>(net_, config_.actuated);
     approach_demand_.resize(net_->num_links(), false);
   }
-  // Carve one step's scratch, in Step's order, so the arena's blocks come
-  // from the constructing thread and every step of Run only rewinds them.
-  step_arena_.NewArray<LaneIntent>(total_lanes_);
+  // Carve one step's scratch so the arena's blocks come from the
+  // constructing thread and every step of Run only rewinds them.
   step_arena_.NewArray<char>(net_->num_links());
   step_arena_.Reset();
 }
@@ -120,6 +120,7 @@ bool Engine::TrySpawn(int vehicle_idx, double now) {
   spawn_time_[vehicle_idx] = now;
   route_idx_[vehicle_idx] = 0;
   link_states_[first].lanes[lane].push_back(vehicle_idx);
+  ++occupancy_[first];
   ++active_count_;
   ++spawned_count_;
   if (config_.record_trajectories) {
@@ -129,16 +130,16 @@ bool Engine::TrySpawn(int vehicle_idx, double now) {
   return true;
 }
 
-void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents) {
+void Engine::SweepLinkPhase1(LinkId id, double now) {
   const CarFollowingParams& cf = config_.car_following;
   const double dt = config_.dt_s;
   const Link& link = net_->link(id);
-  LinkRuntime& state = link_states_[id];
+  const LinkRuntime& state = link_states_[id];
   const double desired = LinkDesiredSpeed(id);
 
   const int lanes = static_cast<int>(state.lanes.size());
   for (int lane = 0; lane < lanes; ++lane) {
-    auto& lane_q = state.lanes[lane];
+    const LaneQueue& lane_q = state.lanes[lane];
     total_vehicle_steps_ += lane_q.size();
     // Front-to-back: followers see their leader's already-updated state,
     // which keeps platoons stable at dt = 1 s.
@@ -156,8 +157,9 @@ void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents) {
         leader_speed = speed_[leader];
       } else {
         // Front vehicle: look across the intersection. All cross-link reads
-        // below go through the prev_* double buffer, so the outcome does not
-        // depend on which links the sweep has already moved this step.
+        // below go through the prev_* entries of the next link's lane tails,
+        // so the outcome does not depend on which links the sweep has
+        // already moved this step.
         const double dist_to_end = link.length_m - pos_[vid];
         if (last_link) {
           // Destination at the link end: drive freely off the network.
@@ -193,15 +195,10 @@ void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents) {
 
       if (new_pos >= link.length_m && i == 0) {
         if (last_link) {
-          LaneIntent& intent = intents[lane_offset_[id] + lane];
-          intent.kind = IntentKind::kComplete;
-          intent.vehicle = vid;
+          intents_.push_back({IntentKind::kComplete, vid, id, lane, -1, 0.0});
         } else if (green) {
-          LaneIntent& intent = intents[lane_offset_[id] + lane];
-          intent.kind = IntentKind::kCross;
-          intent.vehicle = vid;
-          intent.next_link = next;
-          intent.overshoot_m = new_pos - link.length_m;
+          intents_.push_back({IntentKind::kCross, vid, id, lane, next,
+                              new_pos - link.length_m});
         } else {
           speed_[vid] = 0.0;  // held at the red light
         }
@@ -211,76 +208,75 @@ void Engine::SweepLinkPhase1(LinkId id, double now, LaneIntent* intents) {
   }
 }
 
-void Engine::ApplyTransfersPhase2(const LaneIntent* intents, double now,
-                                  int interval, SensorData* out) {
+void Engine::ApplyTransfersPhase2(double now, int interval,
+                                  SensorData* out) {
   const CarFollowingParams& cf = config_.car_following;
-  // Canonical commit order — ascending link id, then lane index. Each
-  // crossing re-picks its entry lane against the transfers committed before
-  // it, so this order decides which of two competing crossings gets in.
-  const int num_links = net_->num_links();
-  for (LinkId id = 0; id < num_links; ++id) {
-    LinkRuntime& state = link_states_[id];
-    const int lanes = static_cast<int>(state.lanes.size());
-    for (int lane = 0; lane < lanes; ++lane) {
-      const LaneIntent& intent = intents[lane_offset_[id] + lane];
-      if (intent.kind == IntentKind::kNone) continue;
-      auto& lane_q = state.lanes[lane];
-      const int vid = intent.vehicle;
-      CHECK(!lane_q.empty());
-      CHECK_EQ(lane_q.front(), vid);
+  // Canonical commit order — ascending link id, then lane index, the order
+  // phase 1 appended the intents in. Each crossing re-picks its entry lane
+  // against the transfers committed before it, so this order decides which
+  // of two competing crossings gets in.
+  for (const LaneIntent& intent : intents_) {
+    LaneQueue& lane_q = link_states_[intent.link].lanes[intent.lane];
+    const int vid = intent.vehicle;
+    CHECK(!lane_q.empty());
+    CHECK_EQ(lane_q.front(), vid);
 
-      if (intent.kind == IntentKind::kComplete) {
-        lane_q.pop_front();
-        active_[vid] = 0;
-        --active_count_;
-        ++completed_count_;
-        // Travel time counts from the *requested* departure: time spent
-        // queued waiting to enter the network is part of the trip.
-        total_travel_time_s_ += now - depart_time_[vid];
-        if (config_.record_trajectories) traces_[vid].finish_time_s = now;
-        continue;
-      }
-
-      // kCross: the entry lane is picked here, against committed state —
-      // the phase-1 look was a one-step-stale estimate, and an earlier
-      // transfer this phase may have consumed the space it saw (or opened
-      // new space). Rejection is itself deterministic (same canonical order
-      // every run), and the vehicle simply waits at the stop line.
-      const int next_lane = PickEntryLane(intent.next_link, 0.0, pos_);
-      if (next_lane < 0) {
-        pos_[vid] = net_->link(id).length_m;
-        speed_[vid] = 0.0;
-        continue;
-      }
-      const double rear =
-          LaneRearSpace(intent.next_link, next_lane, pos_) - cf.min_gap;
+    if (intent.kind == IntentKind::kComplete) {
       lane_q.pop_front();
-      ++route_idx_[vid];
-      lane_[vid] = next_lane;
-      pos_[vid] = std::clamp(intent.overshoot_m, 0.0, rear);
-      link_states_[intent.next_link].lanes[next_lane].push_back(vid);
-      out->volume.at(intent.next_link, interval) += 1.0;
-      if (config_.record_trajectories) {
-        traces_[vid].route.push_back(intent.next_link);
-        traces_[vid].entry_times.push_back(now);
-      }
+      --occupancy_[intent.link];
+      active_[vid] = 0;
+      --active_count_;
+      ++completed_count_;
+      // Travel time counts from the *requested* departure: time spent
+      // queued waiting to enter the network is part of the trip.
+      total_travel_time_s_ += now - depart_time_[vid];
+      if (config_.record_trajectories) traces_[vid].finish_time_s = now;
+      continue;
+    }
+
+    // kCross: the entry lane is picked here, against committed state — the
+    // phase-1 look was a one-step-stale estimate, and an earlier transfer
+    // this phase may have consumed the space it saw (or opened new space).
+    // Rejection is itself deterministic (same canonical order every run),
+    // and the vehicle simply waits at the stop line.
+    const int next_lane = PickEntryLane(intent.next_link, 0.0, pos_);
+    if (next_lane < 0) {
+      pos_[vid] = net_->link(intent.link).length_m;
+      speed_[vid] = 0.0;
+      continue;
+    }
+    const double rear =
+        LaneRearSpace(intent.next_link, next_lane, pos_) - cf.min_gap;
+    lane_q.pop_front();
+    --occupancy_[intent.link];
+    ++route_idx_[vid];
+    lane_[vid] = next_lane;
+    pos_[vid] = std::clamp(intent.overshoot_m, 0.0, rear);
+    link_states_[intent.next_link].lanes[next_lane].push_back(vid);
+    ++occupancy_[intent.next_link];
+    out->volume.at(intent.next_link, interval) += 1.0;
+    if (config_.record_trajectories) {
+      traces_[vid].route.push_back(intent.next_link);
+      traces_[vid].entry_times.push_back(now);
     }
   }
 }
 
 void Engine::Step(int step, double now, int interval, SensorData* out) {
+  const int num_links = net_->num_links();
   // Actuated control: collect per-approach calls, then advance the
   // controller before movement decisions are made this step.
   if (actuated_ != nullptr) {
-    for (LinkId id = 0; id < net_->num_links(); ++id) {
-      const Link& link = net_->link(id);
+    for (LinkId id = 0; id < num_links; ++id) {
       char demand = 0;
-      for (const auto& lane_q : link_states_[id].lanes) {
-        if (lane_q.empty()) continue;
-        if (link.length_m - pos_[lane_q.front()] <=
-            config_.actuation_distance_m) {
-          demand = 1;
-          break;
+      if (occupancy_[id] > 0) {
+        const double length = net_->link(id).length_m;
+        for (const LaneQueue& lane_q : link_states_[id].lanes) {
+          if (!lane_q.empty() &&
+              length - pos_[lane_q.front()] <= config_.actuation_distance_m) {
+            demand = 1;
+            break;
+          }
         }
       }
       approach_demand_[id] = demand;
@@ -289,29 +285,37 @@ void Engine::Step(int step, double now, int interval, SensorData* out) {
   }
 
   // Publish the previous step's committed kinematics into the read buffer
-  // phase 1 uses for cross-link looks. Vector assignment reuses capacity,
-  // so this is a flat memcpy per step.
-  prev_pos_ = pos_;
-  prev_speed_ = speed_;
-
-  step_arena_.Reset();
-  LaneIntent* intents = step_arena_.NewArray<LaneIntent>(total_lanes_);
+  // phase 1 uses for cross-link looks. Those looks read only lane tails,
+  // and phase 1 never changes which vehicle is a lane's tail, so refreshing
+  // the tails alone gives phase 1 exactly what a copy of every vehicle
+  // would.
+  for (LinkId id = 0; id < num_links; ++id) {
+    if (occupancy_[id] == 0) continue;
+    for (const LaneQueue& lane_q : link_states_[id].lanes) {
+      if (lane_q.empty()) continue;
+      const int tail = lane_q.back();
+      prev_pos_[tail] = pos_[tail];
+      prev_speed_[tail] = speed_[tail];
+    }
+  }
 
   // Phase 1: per-link kinematics + boundary intents, in link-id order.
   // Cross-link reads hit the prev_* buffer and writes touch only the link's
-  // own vehicles and intent slots, so no link sees another's update.
-  for (LinkId id = 0; id < net_->num_links(); ++id) {
-    SweepLinkPhase1(id, now, intents);
+  // own vehicles, so no link sees another's update.
+  intents_.clear();
+  for (LinkId id = 0; id < num_links; ++id) {
+    if (occupancy_[id] > 0) SweepLinkPhase1(id, now);
   }
 
   // Phase 2: serial canonical-order commit of completions and transfers.
-  ApplyTransfersPhase2(intents, now, interval, out);
+  ApplyTransfersPhase2(now, interval, out);
 
   // Spawn pending demand whose departure time has arrived. FIFO is enforced
   // per entry link: a full link defers its own queue without starving other
   // origins.
+  step_arena_.Reset();
   if (!pending_.empty() && depart_time_[pending_.front()] <= now) {
-    char* blocked = step_arena_.NewArray<char>(net_->num_links());
+    char* blocked = step_arena_.NewArray<char>(num_links);
     spawn_deferred_.clear();
     while (!pending_.empty()) {
       const int vid = pending_.front();
@@ -334,13 +338,12 @@ void Engine::Step(int step, double now, int interval, SensorData* out) {
 
   // Speed sensing: every active vehicle contributes its current speed to its
   // current link's accumulator, summed in lane, then queue, order.
-  for (LinkId id = 0; id < net_->num_links(); ++id) {
-    for (const auto& lane_q : link_states_[id].lanes) {
-      for (int vid : lane_q) {
-        speed_sum_[id] += speed_[vid];
-        speed_obs_[id] += 1;
-      }
+  for (LinkId id = 0; id < num_links; ++id) {
+    if (occupancy_[id] == 0) continue;
+    for (const LaneQueue& lane_q : link_states_[id].lanes) {
+      for (int vid : lane_q) speed_sum_[id] += speed_[vid];
     }
+    speed_obs_[id] += occupancy_[id];
   }
 
   OVS_COUNTER_INC("sim.steps");

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "sim/car_following.h"
+#include "sim/lane_queue.h"
 #include "sim/roadnet.h"
 #include "sim/router.h"
 #include "sim/sensor_faults.h"
@@ -99,11 +100,13 @@ struct SensorData {
 ///
 /// Vehicle state lives in structure-of-arrays form and each step runs
 /// serially in two phases: phase 1 computes kinematics and boundary intents
-/// link by link (cross-link reads go through a double buffer of the
-/// previous step's state), phase 2 commits completions and link transfers
-/// in canonical link-id order. One Run uses one thread; callers that need
-/// throughput run whole engines concurrently (GenerateTrainingData). See
-/// DESIGN.md "Simulator step (two-phase commit)".
+/// link by link (cross-link reads go through a double buffer of the lane
+/// tails' previous-step state), phase 2 commits completions and link
+/// transfers in canonical link-id order. A step skips links with no vehicle
+/// on them, so its cost follows the traffic, not the size of the network.
+/// One Run uses one thread; callers that need throughput run whole engines
+/// concurrently (GenerateTrainingData). See DESIGN.md "Simulator step
+/// (two-phase commit)".
 ///
 /// Usage: construct, optionally ApplyRoadWork, AddTrip for every vehicle,
 /// then Run() once. The engine is single-shot; build a new one per scenario.
@@ -143,9 +146,11 @@ class Engine {
     return static_cast<int>(link_states_[link].lanes.size());
   }
   /// Lane queue, front (largest pos) first.
-  const std::deque<int>& lane_queue(LinkId link, int lane) const {
+  const LaneQueue& lane_queue(LinkId link, int lane) const {
     return link_states_[link].lanes[lane];
   }
+  /// Vehicles on the link: the sum of its lane queues' sizes.
+  int link_occupancy(LinkId link) const { return occupancy_[link]; }
   double vehicle_pos(int v) const { return pos_[v]; }
   double vehicle_speed(int v) const { return speed_[v]; }
   bool vehicle_active(int v) const { return active_[v] != 0; }
@@ -164,7 +169,7 @@ class Engine {
  private:
   struct LinkRuntime {
     /// Vehicle indices per lane, ordered front (largest pos) first.
-    std::vector<std::deque<int>> lanes;
+    std::vector<LaneQueue> lanes;
     double speed_factor = 1.0;
     int usable_lanes = 1;
   };
@@ -172,15 +177,16 @@ class Engine {
   /// What a lane's front vehicle wants to do at the link boundary this step.
   /// At most one intent per lane per step; phase 2 commits them serially.
   enum class IntentKind : uint8_t {
-    kNone = 0,
     kComplete,  ///< front vehicle finishes its trip at the link end
-    kCross,     ///< front vehicle transfers into next_link/next_lane
+    kCross,     ///< front vehicle transfers into next_link
   };
   struct LaneIntent {
-    IntentKind kind = IntentKind::kNone;
+    IntentKind kind = IntentKind::kComplete;
     int32_t vehicle = -1;
-    LinkId next_link = -1;
-    double overshoot_m = 0.0;  ///< distance past the stop line, pre-clamp
+    LinkId link = -1;  ///< the link whose lane holds the vehicle at its front
+    int32_t lane = -1;
+    LinkId next_link = -1;     ///< kCross only
+    double overshoot_m = 0.0;  ///< kCross only: distance past the stop line
   };
 
   int RouteLength(int v) const { return route_begin_[v + 1] - route_begin_[v]; }
@@ -212,21 +218,20 @@ class Engine {
   void Step(int step, double now, int interval, SensorData* out);
 
   /// Phase 1 for one link: advance every vehicle on it (front-to-back per
-  /// lane) and record at most one boundary intent per lane into `intents`
-  /// (indexed by lane_offset_[link] + lane). Writes only this link's
-  /// vehicles and intent slots, and reads other links only through the
-  /// prev_* double buffer, so its result does not depend on which links
-  /// were swept before it.
-  void SweepLinkPhase1(LinkId id, double now, LaneIntent* intents);
+  /// lane) and append at most one boundary intent per lane to `intents_`.
+  /// Writes only this link's vehicles, and reads other links only through
+  /// their lane tails' prev_* entries, so its result does not depend on
+  /// which links were swept before it.
+  void SweepLinkPhase1(LinkId id, double now);
 
-  /// Phase 2: commit completions and transfers serially in canonical order
-  /// (ascending link id, then lane index). Each crossing picks its entry
-  /// lane against *committed* state — the phase-1 look was only a one-step
-  /// stale speed estimate — so earlier transfers can deterministically
-  /// reject later ones when the target link fills up, and a crossing never
-  /// loses its slot to same-step spawning (spawns run after phase 2).
-  void ApplyTransfersPhase2(const LaneIntent* intents, double now,
-                            int interval, SensorData* out);
+  /// Phase 2: commit `intents_` serially in canonical order (ascending link
+  /// id, then lane index: the order phase 1 appended them in). Each crossing
+  /// picks its entry lane against *committed* state — the phase-1 look was
+  /// only a one-step stale speed estimate — so earlier transfers can
+  /// deterministically reject later ones when the target link fills up, and
+  /// a crossing never loses its slot to same-step spawning (spawns run after
+  /// phase 2).
+  void ApplyTransfersPhase2(double now, int interval, SensorData* out);
 
   /// True when the movement out of `link` may cross at `now`.
   bool MovementIsGreen(LinkId link, double now) const;
@@ -246,7 +251,9 @@ class Engine {
   std::vector<double> pos_;
   std::vector<double> speed_;
   /// Double buffer: kinematics as committed at the end of the previous
-  /// step. Phase 1 reads *other* links' vehicles only through these two.
+  /// step. Phase 1 reads *other* links' vehicles only through these two,
+  /// and only at lane tails, so Step refreshes just the tail vehicle of
+  /// each non-empty lane; the other entries are stale and never read.
   std::vector<double> prev_pos_;
   std::vector<double> prev_speed_;
   std::vector<double> depart_time_;
@@ -256,13 +263,15 @@ class Engine {
   std::vector<VehicleTrace> traces_;
 
   std::vector<LinkRuntime> link_states_;
-  /// Global lane index = lane_offset_[link] + lane; flat addressing for the
-  /// per-step intent array.
-  std::vector<int32_t> lane_offset_;
-  int total_lanes_ = 0;
-  /// Per-step scratch (intent slots, spawn flags); Reset at every step.
-  /// The constructor carves one step's worth up front, so the arena
-  /// allocates nothing once Run starts.
+  /// Vehicles per link, kept equal to the sum of its lane-queue sizes by
+  /// TrySpawn and phase 2. A step skips links where it is 0.
+  std::vector<int> occupancy_;
+  /// Phase 1's boundary intents, at most one per lane, in canonical order.
+  /// Reserved for every lane in the constructor; cleared every step.
+  std::vector<LaneIntent> intents_;
+  /// Per-step scratch (spawn-blocked flags); Reset at every step. The
+  /// constructor carves one step's worth up front, so the arena allocates
+  /// nothing once Run starts.
   Arena step_arena_;
   std::vector<int> spawn_deferred_;  ///< scratch, reused across steps
 

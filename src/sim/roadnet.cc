@@ -26,6 +26,8 @@ const char* RoadNet::LinkError(IntersectionId from, IntersectionId to,
     return "length must be finite and > 0";
   }
   if (num_lanes <= 0) return "lanes must be > 0";
+  static_assert(kMaxLanesPerLink == 16, "keep the message below in step");
+  if (num_lanes > kMaxLanesPerLink) return "lanes must be <= 16";
   if (!std::isfinite(speed_limit_mps) || speed_limit_mps <= 0.0) {
     return "speed limit must be finite and > 0";
   }

@@ -11,6 +11,11 @@ namespace ovs::sim {
 using IntersectionId = int;
 using LinkId = int;
 
+/// Most lanes one link may have, far above what any network in the repo
+/// uses. The cap keeps a corrupt road-net file from sizing per-lane
+/// simulator storage by an arbitrary integer.
+inline constexpr int kMaxLanesPerLink = 16;
+
 /// A node of the road graph. Intersections with `signalized == true` run a
 /// two-phase fixed-cycle signal (see SignalController).
 struct Intersection {
@@ -51,8 +56,9 @@ class RoadNet {
 
   /// Why a link with these fields cannot join this network, or nullptr when
   /// it can: endpoints must exist and differ, length and speed limit must be
-  /// finite and > 0, lanes > 0. AddLink CHECKs it; loaders of outside data
-  /// call it first and return the reason as a status.
+  /// finite and > 0, lanes in [1, kMaxLanesPerLink]. AddLink CHECKs it;
+  /// loaders of outside data call it first and return the reason as a
+  /// status.
   const char* LinkError(IntersectionId from, IntersectionId to,
                         double length_m, int num_lanes,
                         double speed_limit_mps) const;

@@ -213,6 +213,8 @@ TEST(RoadNetIoTest, BadRowsReturnStatusInsteadOfAborting) {
       {"nan length", "1,100,0,1", "0,0,1,nan,1,10"},
       {"infinite length", "1,100,0,1", "0,0,1,inf,1,10"},
       {"zero lanes", "1,100,0,1", "0,0,1,100,0,10"},
+      {"lanes above the cap", "1,100,0,1", "0,0,1,100,17,10"},
+      {"lanes at INT_MAX", "1,100,0,1", "0,0,1,100,2147483647,10"},
       {"zero speed limit", "1,100,0,1", "0,0,1,100,1,0"},
       {"nan speed limit", "1,100,0,1", "0,0,1,100,1,nan"},
       {"infinite speed limit", "1,100,0,1", "0,0,1,100,1,inf"},

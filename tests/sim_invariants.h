@@ -20,10 +20,14 @@
 //      optimistic phase-1 kinematics); the model brakes it out on the next
 //      step and the ordering itself never flips.
 //   4. Capacity: a lane never holds more vehicles than physically fit.
+//   5. Occupancy: each link's vehicle count, which decides the links a step
+//      skips and the observations its speed sensor counts, equals the sum
+//      of its lane-queue sizes. A drift reaches the outputs only through
+//      the interval's mean speed, with no pointer to its cause; this check
+//      names the first step and link where the count went wrong.
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -75,9 +79,11 @@ class SimInvariantChecker {
     int on_network = 0;
     for (LinkId l = 0; l < net_->num_links(); ++l) {
       const Link& link = net_->link(l);
+      size_t link_vehicles = 0;
       for (int lane = 0; lane < e.num_lanes(l); ++lane) {
-        const std::deque<int>& q = e.lane_queue(l, lane);
-        const std::deque<int>& prev = prev_queues_[l][lane];
+        const LaneQueue& q = e.lane_queue(l, lane);
+        const LaneQueue& prev = prev_queues_[l][lane];
+        link_vehicles += q.size();
 
         // Capacity: vehicles are at least veh_len apart (checked below), so
         // a lane of length L fits at most floor(L / veh_len) + 1 of them.
@@ -134,6 +140,9 @@ class SimInvariantChecker {
         }
         prev_queues_[l][lane] = q;
       }
+      EXPECT_EQ(e.link_occupancy(l), static_cast<int>(link_vehicles))
+          << tag_ << ": occupancy count of link " << l
+          << " != its lane-queue sizes, step " << step;
     }
     EXPECT_EQ(on_network, e.active_vehicles())
         << tag_ << ": queue population != active count, step " << step;
@@ -143,7 +152,7 @@ class SimInvariantChecker {
   const RoadNet* net_;
   std::string tag_;
   int baseline_completed_;
-  std::vector<std::vector<std::deque<int>>> prev_queues_;
+  std::vector<std::vector<LaneQueue>> prev_queues_;
   int steps_ = 0;
 };
 

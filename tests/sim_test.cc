@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
+#include <vector>
 
 #include "sim/car_following.h"
 #include "sim/engine.h"
+#include "sim/lane_queue.h"
 #include "sim/roadnet.h"
 #include "sim/router.h"
 #include "sim/signal.h"
+#include "util/rng.h"
 
 namespace ovs::sim {
 namespace {
@@ -79,6 +83,16 @@ TEST(RoadNetTest, ValidateRejectsNonFiniteGeometry) {
                           std::numeric_limits<double>::quiet_NaN()),
             nullptr);
   EXPECT_EQ(net.LinkError(0, 1, 100.0, 1, 10.0), nullptr);
+}
+
+TEST(RoadNetTest, LinkErrorCapsLanesPerLink) {
+  RoadNet net;
+  net.AddIntersection(0, 0);
+  net.AddIntersection(100, 0);
+  EXPECT_EQ(net.LinkError(0, 1, 100.0, kMaxLanesPerLink, 10.0), nullptr);
+  EXPECT_NE(net.LinkError(0, 1, 100.0, kMaxLanesPerLink + 1, 10.0), nullptr);
+  EXPECT_NE(net.LinkError(0, 1, 100.0, std::numeric_limits<int>::max(), 10.0),
+            nullptr);
 }
 
 TEST(RoadNetTest, FreeFlowTime) {
@@ -316,6 +330,77 @@ TEST(SignalTest, UnsignalizedAlwaysGreen) {
   net.AddLink(1, 2, 100, 1, 10);
   SignalController signals(&net, SignalPlan());
   for (double t = 0.0; t < 200.0; t += 3.0) EXPECT_TRUE(signals.IsGreen(in1, t));
+}
+
+// -------------------------------------------------------------- LaneQueue --
+
+// Checks every accessor of `q` against a std::deque holding the same ids.
+void ExpectSameQueue(const LaneQueue& q, const std::deque<int>& want) {
+  ASSERT_EQ(q.size(), want.size());
+  EXPECT_EQ(q.empty(), want.empty());
+  EXPECT_EQ(std::vector<int>(q.begin(), q.end()),
+            std::vector<int>(want.begin(), want.end()));
+  if (want.empty()) return;
+  EXPECT_EQ(q.front(), want.front());
+  EXPECT_EQ(q.back(), want.back());
+  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(q[i], want[i]) << i;
+}
+
+TEST(LaneQueueTest, PopsPastTheCompactionPointKeepOrder) {
+  LaneQueue q;
+  std::deque<int> want;
+  for (int v = 0; v < 10; ++v) {
+    q.push_back(v);
+    want.push_back(v);
+  }
+  // The sixth pop takes the head past half of the ten-entry buffer, which
+  // moves the survivors to its start; accessors must not notice.
+  for (int pop = 0; pop < 8; ++pop) {
+    q.pop_front();
+    want.pop_front();
+    ExpectSameQueue(q, want);
+  }
+  for (int v = 10; v < 14; ++v) {
+    q.push_back(v);
+    want.push_back(v);
+    ExpectSameQueue(q, want);
+  }
+  const LaneQueue copy = q;  // the invariant checker keeps copies
+  ExpectSameQueue(copy, want);
+}
+
+TEST(LaneQueueTest, DrainsToEmptyAndIsReused) {
+  LaneQueue q;
+  for (int round = 0; round < 3; ++round) {
+    std::deque<int> want;
+    for (int v = 0; v < 5 + round; ++v) {
+      q.push_back(100 * round + v);
+      want.push_back(100 * round + v);
+    }
+    ExpectSameQueue(q, want);
+    while (!want.empty()) {
+      q.pop_front();
+      want.pop_front();
+      ExpectSameQueue(q, want);
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+TEST(LaneQueueTest, MatchesDequeOnInterleavedPushesAndPops) {
+  LaneQueue q;
+  std::deque<int> want;
+  Rng rng(91);
+  for (int op = 0; op < 5000 && !HasFailure(); ++op) {
+    if (want.empty() || rng.UniformInt(0, 9) < 5) {
+      q.push_back(op);
+      want.push_back(op);
+    } else {
+      q.pop_front();
+      want.pop_front();
+    }
+    ExpectSameQueue(q, want);
+  }
 }
 
 // ----------------------------------------------------------------- Engine --
