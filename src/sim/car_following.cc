@@ -28,9 +28,4 @@ double KraussNextSpeed(double current_speed, double desired_speed, double gap,
   return std::clamp(v, 0.0, std::max(desired_speed, 0.0));
 }
 
-double FreeFlowNextSpeed(double current_speed, double desired_speed, double dt,
-                         const CarFollowingParams& params) {
-  return std::clamp(current_speed + params.max_accel * dt, 0.0, desired_speed);
-}
-
 }  // namespace ovs::sim

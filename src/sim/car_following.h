@@ -30,11 +30,6 @@ double KraussNextSpeed(double current_speed, double desired_speed, double gap,
                        double leader_speed, double dt,
                        const CarFollowingParams& params);
 
-/// Convenience for a free leader (nothing ahead on the link and green light):
-/// accelerate toward the desired speed.
-double FreeFlowNextSpeed(double current_speed, double desired_speed, double dt,
-                         const CarFollowingParams& params);
-
 }  // namespace ovs::sim
 
 #endif  // OVS_SIM_CAR_FOLLOWING_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,10 +30,8 @@ Engine::Engine(const RoadNet* net, EngineConfig config)
     actuated_ = std::make_unique<ActuatedSignalController>(net_, config_.actuated);
     approach_demand_.resize(net_->num_links(), false);
   }
-  // Carve one step's scratch so the arena's blocks come from the
-  // constructing thread and every step of Run only rewinds them.
-  step_arena_.NewArray<char>(net_->num_links());
-  step_arena_.Reset();
+  due_trips_.resize(net_->num_links());
+  due_links_.reserve(net_->num_links());
 }
 
 bool Engine::MovementIsGreen(LinkId link, double now) const {
@@ -60,6 +59,13 @@ void Engine::AddTrip(TripRequest trip) {
   if (trip.route.empty()) {
     ++completed_count_;
     return;
+  }
+  // The spawn queues are ordered by departure time and indexed by the first
+  // link: a NaN departure would break the sort's ordering, an infinite one
+  // the travel-time mean, and an unknown link id the per-link state.
+  CHECK(std::isfinite(trip.depart_time_s)) << "non-finite departure time";
+  for (const LinkId id : trip.route) {
+    CHECK(id >= 0 && id < net_->num_links()) << "route link id out of range";
   }
   // Route sanity: consecutive links must share an intersection.
   for (size_t i = 0; i + 1 < trip.route.size(); ++i) {
@@ -310,31 +316,28 @@ void Engine::Step(int step, double now, int interval, SensorData* out) {
   // Phase 2: serial canonical-order commit of completions and transfers.
   ApplyTransfersPhase2(now, interval, out);
 
-  // Spawn pending demand whose departure time has arrived. FIFO is enforced
-  // per entry link: a full link defers its own queue without starving other
-  // origins.
-  step_arena_.Reset();
-  if (!pending_.empty() && depart_time_[pending_.front()] <= now) {
-    char* blocked = step_arena_.NewArray<char>(num_links);
-    spawn_deferred_.clear();
-    while (!pending_.empty()) {
-      const int vid = pending_.front();
-      if (depart_time_[vid] > now) break;
-      pending_.pop_front();
-      const LinkId entry = RouteLinkAt(vid, 0);
-      if (blocked[entry] || !TrySpawn(vid, now)) {
-        blocked[entry] = 1;
-        spawn_deferred_.push_back(vid);
-        continue;
-      }
+  // Spawning. Trips whose departure time has arrived join their entry
+  // link's queue; each link with queued trips then spawns from the head
+  // until a trip does not fit. TrySpawn reads and writes only the entry
+  // link, so a full link holds back its own later trips without starving
+  // other origins, and the order links are visited in cannot matter.
+  while (next_departure_ < depart_order_.size() &&
+         depart_time_[depart_order_[next_departure_]] <= now) {
+    const int vid = depart_order_[next_departure_++];
+    const LinkId entry = RouteLinkAt(vid, 0);
+    if (due_trips_[entry].empty()) due_links_.push_back(entry);
+    due_trips_[entry].push_back(vid);
+  }
+  size_t still_due = 0;
+  for (const LinkId entry : due_links_) {
+    LaneQueue& queue = due_trips_[entry];
+    while (!queue.empty() && TrySpawn(queue.front(), now)) {
+      queue.pop_front();
       out->volume.at(entry, interval) += 1.0;
     }
-    // Deferred vehicles go back to the front, in order, before untouched ones.
-    for (auto it = spawn_deferred_.rbegin(); it != spawn_deferred_.rend();
-         ++it) {
-      pending_.push_front(*it);
-    }
+    if (!queue.empty()) due_links_[still_due++] = entry;
   }
+  due_links_.resize(still_due);
 
   // Speed sensing: every active vehicle contributes its current speed to its
   // current link's accumulator, summed in lane, then queue, order.
@@ -363,12 +366,12 @@ SensorData Engine::Run() {
 
   // Order demand by departure time. stable_sort: equal departure times keep
   // AddTrip order, independent of the sort implementation.
-  std::vector<int> order(pos_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
-    return depart_time_[a] < depart_time_[b];
-  });
-  pending_.assign(order.begin(), order.end());
+  depart_order_.resize(pos_.size());
+  std::iota(depart_order_.begin(), depart_order_.end(), 0);
+  std::stable_sort(depart_order_.begin(), depart_order_.end(),
+                   [this](int a, int b) {
+                     return depart_time_[a] < depart_time_[b];
+                   });
 
   // Writes an interval's mean sensed speed per link (free flow where no
   // vehicle was seen) and clears the accumulators for the next one.
@@ -416,7 +419,9 @@ SensorData Engine::Run() {
 
   out.spawned_trips = spawned_count_;
   out.completed_trips = completed_count_;
-  out.unspawned_trips = static_cast<int>(pending_.size());
+  size_t unspawned = depart_order_.size() - next_departure_;
+  for (const LinkId entry : due_links_) unspawned += due_trips_[entry].size();
+  out.unspawned_trips = static_cast<int>(unspawned);
   out.mean_travel_time_s =
       completed_count_ > 0 ? total_travel_time_s_ / completed_count_ : 0.0;
   if (config_.record_trajectories) {

@@ -2,8 +2,8 @@
 #define OVS_SIM_ENGINE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -14,7 +14,6 @@
 #include "sim/router.h"
 #include "sim/sensor_faults.h"
 #include "sim/signal.h"
-#include "util/arena.h"
 #include "util/mat.h"
 
 namespace ovs::sim {
@@ -103,7 +102,8 @@ struct SensorData {
 /// link by link (cross-link reads go through a double buffer of the lane
 /// tails' previous-step state), phase 2 commits completions and link
 /// transfers in canonical link-id order. A step skips links with no vehicle
-/// on them, so its cost follows the traffic, not the size of the network.
+/// on them and spawns only on entry links with a trip due, so its cost
+/// follows the traffic, not the size of the network or of the backlog.
 /// One Run uses one thread; callers that need throughput run whole engines
 /// concurrently (GenerateTrainingData). See DESIGN.md "Simulator step
 /// (two-phase commit)".
@@ -121,7 +121,9 @@ class Engine {
   void ApplyRoadWork(const std::vector<RoadWork>& works);
 
   /// Queues one vehicle. Must precede Run(). Trips with empty routes are
-  /// counted as completed immediately.
+  /// counted as completed immediately. CHECK-fails on a non-finite
+  /// departure time, a route link id outside the network, or a route whose
+  /// consecutive links do not share an intersection.
   void AddTrip(TripRequest trip);
 
   /// Runs the full horizon and returns the sensor observations.
@@ -211,7 +213,9 @@ class Engine {
   double LaneRearSpace(LinkId link, int lane,
                        const std::vector<double>& pos) const;
 
-  /// Attempts to place vehicle `v` at the head of its first link.
+  /// Attempts to place vehicle `v` at the head of its first link. Reads and
+  /// writes only that link's state, so whether it succeeds does not depend
+  /// on spawns at other links.
   bool TrySpawn(int vehicle_idx, double now);
 
   /// One dt step: two-phase movement sweep + spawning + sensing.
@@ -269,13 +273,17 @@ class Engine {
   /// Phase 1's boundary intents, at most one per lane, in canonical order.
   /// Reserved for every lane in the constructor; cleared every step.
   std::vector<LaneIntent> intents_;
-  /// Per-step scratch (spawn-blocked flags); Reset at every step. The
-  /// constructor carves one step's worth up front, so the arena allocates
-  /// nothing once Run starts.
-  Arena step_arena_;
-  std::vector<int> spawn_deferred_;  ///< scratch, reused across steps
 
-  std::deque<int> pending_;  ///< vehicle indices not yet spawned, by depart time
+  /// Spawn queues. Run sorts the vehicles by departure time (ties in AddTrip
+  /// order) into depart_order_; each step moves the cursor next_departure_
+  /// past the trips now due and appends each to its entry link's FIFO in
+  /// due_trips_. due_links_ lists the links whose FIFO is non-empty, so a
+  /// step visits those links only, and each stops at its first trip that
+  /// does not fit.
+  std::vector<int> depart_order_;
+  size_t next_departure_ = 0;
+  std::vector<LaneQueue> due_trips_;  ///< per link; sized in the constructor
+  std::vector<LinkId> due_links_;     ///< reserved for every link
   int active_count_ = 0;
   int completed_count_ = 0;
   int spawned_count_ = 0;

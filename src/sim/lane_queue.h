@@ -6,12 +6,14 @@
 
 namespace ovs::sim {
 
-/// One lane's vehicle indices, front (largest pos) first, in contiguous
-/// storage. pop_front only advances a head index; once the head has passed
-/// half of the buffer the live entries are moved back to its start, so every
-/// operation is amortised O(1) and a sweep over the lane reads one flat
-/// array. A queue that drains to empty starts again at the buffer's start,
-/// keeping its capacity.
+/// A FIFO of vehicle indices in contiguous storage. The engine keeps one per
+/// lane, front (largest pos) first, and one per entry link, holding the
+/// trips that are due but not yet spawned in departure order. pop_front only
+/// advances a head index; once the head has passed half of the buffer the
+/// live entries are moved back to its start, so every operation is
+/// amortised O(1) and a sweep over the queue reads one flat array. A queue
+/// that drains to empty starts again at the buffer's start, keeping its
+/// capacity.
 class LaneQueue {
  public:
   bool empty() const { return head_ == items_.size(); }

@@ -14,9 +14,9 @@ namespace ovs {
 /// Monotonic bump allocator for per-iteration scratch. Allocations are O(1)
 /// pointer bumps into coarse blocks; Reset() recycles every block in one call
 /// without returning memory to the system. The intended lifecycle is
-/// allocate / use / Reset once per hot-loop iteration (the simulator resets
-/// it every Engine::Step), so steady-state iterations perform zero heap
-/// traffic once the high-water mark has been reached.
+/// allocate / use / Reset once per hot-loop iteration, so steady-state
+/// iterations perform zero heap traffic once the high-water mark has been
+/// reached.
 ///
 /// Reset() never runs destructors, so only trivially destructible types may
 /// be placed here (NewArray enforces this at compile time).

@@ -1,6 +1,6 @@
-// Unit tests for the bump allocator backing the simulator's per-step
-// scratch: alignment, block growth, Reset reuse (the zero-steady-state-
-// allocation property), and value-initialization of NewArray.
+// Unit tests for the bump allocator for per-step scratch: alignment, block
+// growth, Reset reuse (the zero-steady-state-allocation property), and
+// value-initialization of NewArray.
 
 #include <gtest/gtest.h>
 
@@ -76,8 +76,9 @@ TEST(ArenaTest, ResetReusesBlocksWithoutNewReservations) {
   churn();
   const size_t blocks_after_warmup = arena.num_blocks();
   const size_t reserved_after_warmup = arena.bytes_reserved();
-  // Identical per-step churn must never grow the pool again — this is the
-  // "zero heap traffic at steady state" property Engine::Step relies on.
+  // Identical per-step churn must never grow the pool again — the "zero
+  // heap traffic at steady state" property that makes an arena worth using
+  // for scratch rebuilt on every step or epoch.
   for (int step = 0; step < 50; ++step) churn();
   EXPECT_EQ(arena.num_blocks(), blocks_after_warmup);
   EXPECT_EQ(arena.bytes_reserved(), reserved_after_warmup);

@@ -104,12 +104,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------- Randomized-config sim invariants --
 
-// Draws a whole engine setup — network geometry, lane counts, speed limits,
+// A whole engine setup — network geometry, lane counts, speed limits,
 // signal plan (fixed or actuated), optional road work, and random demand —
-// from one seed, then runs it under the per-step SimInvariantChecker at
-// pools 1 and 3 and requires the two sensor outputs to match bitwise. 8
-// chunks x 13 seeds x {pool 1, pool 3} = 208 simulated configurations.
-void RunRandomizedSimConfig(uint64_t seed) {
+// drawn from one seed.
+struct RandomizedSimConfig {
+  sim::RoadNet net;
+  sim::EngineConfig config;
+  std::vector<sim::RoadWork> works;
+  std::vector<sim::TripRequest> trips;
+};
+
+RandomizedSimConfig DrawRandomizedSimConfig(uint64_t seed) {
   Rng rng(seed);
   const int rows = rng.UniformInt(2, 4);
   const int cols = rng.UniformInt(2, 4);
@@ -146,7 +151,14 @@ void RunRandomizedSimConfig(uint64_t seed) {
     if (!route.ok()) continue;
     trips.push_back({rng.Uniform(0.0, 300.0), route.value()});
   }
+  return {std::move(net), config, std::move(works), std::move(trips)};
+}
 
+// Runs one drawn setup under the per-step SimInvariantChecker at pools 1
+// and 3 and requires the two sensor outputs to match bitwise. 8 chunks x 13
+// seeds x {pool 1, pool 3} = 208 simulated configurations.
+void RunRandomizedSimConfig(uint64_t seed) {
+  const auto [net, config, works, trips] = DrawRandomizedSimConfig(seed);
   sim::SensorData outputs[2];
   const int threads_before = GlobalThreadCount();
   for (const int run : {0, 1}) {
@@ -196,6 +208,33 @@ TEST_P(RandomizedSimInvariantsTest, ConservationFifoAndCapacityHold) {
 
 INSTANTIATE_TEST_SUITE_P(Chunks, RandomizedSimInvariantsTest,
                          ::testing::Range(0, 8));
+
+// The per-link spawn order check over the first two chunks' setups, with
+// trajectories recorded. At their drawn demand few trips ever wait for an
+// entry link, and almost never two on one link, so each trip is added four
+// times over: then entry links back up and the order among waiting trips
+// decides the outputs.
+TEST(RandomizedSpawnOrderTest, EntryLinksSpawnInDepartureOrder) {
+  int waited = 0;
+  for (uint64_t seed = 9000; seed < 9026; ++seed) {
+    RandomizedSimConfig setup = DrawRandomizedSimConfig(seed);
+    setup.config.record_trajectories = true;
+    std::vector<sim::TripRequest> trips;
+    for (const sim::TripRequest& trip : setup.trips) {
+      trips.insert(trips.end(), 4, trip);
+    }
+    sim::Engine engine(&setup.net, setup.config);
+    engine.ApplyRoadWork(setup.works);
+    for (const sim::TripRequest& trip : trips) engine.AddTrip(trip);
+    waited += sim::ExpectPerLinkSpawnOrder(trips, engine.Run(),
+                                           setup.config.dt_s,
+                                           "seed " + std::to_string(seed));
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Some trips must have waited for their entry link, or the order check
+  // above saw no blocking to get wrong.
+  EXPECT_GT(waited, 0);
+}
 
 // ---------------------------------------------------------- Router sweeps --
 

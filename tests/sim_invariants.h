@@ -25,9 +25,16 @@
 //      of its lane-queue sizes. A drift reaches the outputs only through
 //      the interval's mean speed, with no pointer to its cause; this check
 //      names the first step and link where the count went wrong.
+//
+// ExpectPerLinkSpawnOrder checks a finished run instead: on each entry
+// link, trips enter in departure order (ties in AddTrip order), and a trip
+// still waiting holds back every later trip of its link.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -155,6 +162,63 @@ class SimInvariantChecker {
   std::vector<std::vector<LaneQueue>> prev_queues_;
   int steps_ = 0;
 };
+
+/// Per-link spawn order of a run made with record_trajectories on. `trips`
+/// are the AddTrip arguments in AddTrip order. On each entry link, taking
+/// its trips in (departure time, AddTrip index) order, spawn times never
+/// decrease and the trips that never spawned form a suffix. Returns the
+/// number of trips that spawned at least one step after their departure,
+/// i.e. waited behind a full entry link, so a caller can tell whether the
+/// run blocked at all.
+inline int ExpectPerLinkSpawnOrder(const std::vector<TripRequest>& trips,
+                                   const SensorData& out, double dt_s,
+                                   const std::string& tag) {
+  struct Entry {
+    double depart;
+    int index;     ///< AddTrip index
+    double spawn;  ///< NaN when the trip never spawned
+  };
+  std::map<LinkId, std::vector<Entry>> by_link;  // in AddTrip order
+  size_t traced = 0;
+  for (size_t i = 0; i < trips.size(); ++i) {
+    if (trips[i].route.empty()) continue;  // completed at AddTrip, no trace
+    if (traced >= out.trajectories.size()) break;
+    const VehicleTrace& trace = out.trajectories[traced++];
+    by_link[trips[i].route.front()].push_back(
+        {trips[i].depart_time_s, static_cast<int>(i),
+         trace.entry_times.empty() ? std::nan("")
+                                   : trace.entry_times.front()});
+  }
+  EXPECT_EQ(traced, out.trajectories.size())
+      << tag << ": one trace per trip with a route";
+
+  int waited = 0;
+  for (auto& [link, entries] : by_link) {
+    // Stable, so equal departures stay in AddTrip order.
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.depart < b.depart;
+                     });
+    for (size_t k = 0; k < entries.size(); ++k) {
+      const Entry& e = entries[k];
+      if (!std::isnan(e.spawn) && e.spawn >= e.depart + dt_s) ++waited;
+      if (k == 0) continue;
+      const Entry& prev = entries[k - 1];
+      if (std::isnan(prev.spawn)) {
+        EXPECT_TRUE(std::isnan(e.spawn))
+            << tag << ": on entry link " << link << ", trip " << e.index
+            << " spawned at " << e.spawn << " while the earlier trip "
+            << prev.index << " never did";
+      } else if (!std::isnan(e.spawn)) {
+        EXPECT_GE(e.spawn, prev.spawn)
+            << tag << ": on entry link " << link << ", trip " << e.index
+            << " spawned ahead of the earlier trip " << prev.index;
+      }
+      if (::testing::Test::HasFailure()) return waited;
+    }
+  }
+  return waited;
+}
 
 }  // namespace ovs::sim
 

@@ -11,6 +11,7 @@
 #include "sim/roadnet.h"
 #include "sim/router.h"
 #include "sim/signal.h"
+#include "tests/sim_invariants.h"
 #include "util/rng.h"
 
 namespace ovs::sim {
@@ -230,9 +231,13 @@ TEST(CarFollowingTest, NextSpeedCappedByDesired) {
 }
 
 TEST(CarFollowingTest, FreeFlowApproachesDesired) {
+  // A free leader: far ahead and already at the desired speed, so only the
+  // acceleration limit and the desired speed bind.
   CarFollowingParams p;
   double v = 0.0;
-  for (int i = 0; i < 60; ++i) v = FreeFlowNextSpeed(v, 13.9, 1.0, p);
+  for (int i = 0; i < 60; ++i) {
+    v = KraussNextSpeed(v, 13.9, 1e6, 13.9, 1.0, p);
+  }
   EXPECT_NEAR(v, 13.9, 1e-9);
 }
 
@@ -608,17 +613,88 @@ TEST(EngineTest, FifoSpawnPerEntryLinkDoesNotStarveOthers) {
   // Two routes from different origins to the same destination 3.
   Route route_a = router.CachedRoute(0, 3).value();
   Route route_b = router.CachedRoute(1, 3).value();
+  ASSERT_NE(route_a[0], route_b[0]);
   EngineConfig config = ShortConfig(600.0);
+  config.record_trajectories = true;
   Engine engine(&net, config);
   for (int i = 0; i < 500; ++i) engine.AddTrip({0.0, route_a});
   for (int i = 0; i < 5; ++i) engine.AddTrip({1.0, route_b});
   SensorData out = engine.Run();
-  // All 5 of B's vehicles entered (their entry link differs from A's).
-  double b_entries = 0.0;
-  for (int t = 0; t < out.volume.cols(); ++t) {
-    b_entries += out.volume.at(route_b[0], t);
+  EXPECT_GT(out.unspawned_trips, 0);
+  // All 5 of B's vehicles entered. Their own traces say so; B's entry
+  // link's volume would not, since route A continues onto that link.
+  ASSERT_EQ(out.trajectories.size(), 505u);
+  for (size_t i = 500; i < 505; ++i) {
+    EXPECT_FALSE(out.trajectories[i].entry_times.empty()) << "trip " << i;
   }
-  EXPECT_GE(b_entries, 5.0);
+}
+
+TEST(EngineTest, SpawnsInDepartureOrderPerEntryLink) {
+  // Two one-link roads. The jammed one gets far more trips than it can
+  // take, added out of departure order and with ties; the free one gets a
+  // trip every 100 s while the jammed one still has trips waiting.
+  RoadNet net;
+  net.AddIntersection(0, 0);
+  net.AddIntersection(100, 0);
+  net.AddIntersection(0, 500);
+  net.AddIntersection(200, 500);
+  const LinkId jammed_link = net.AddLink(0, 1, 100.0, 1, 10.0);
+  const LinkId free_link = net.AddLink(2, 3, 200.0, 1, 10.0);
+  EngineConfig config = ShortConfig(600.0);
+  config.record_trajectories = true;
+  std::vector<TripRequest> trips;
+  for (int i = 0; i < 1000; ++i) {
+    trips.push_back({static_cast<double>((i * 37) % 100), {jammed_link}});
+  }
+  for (int i = 0; i < 5; ++i) trips.push_back({50.0 + 100.0 * i, {free_link}});
+  Engine engine(&net, config);
+  for (const TripRequest& trip : trips) engine.AddTrip(trip);
+  const SensorData out = engine.Run();
+
+  const int waited =
+      ExpectPerLinkSpawnOrder(trips, out, config.dt_s, "two entry links");
+  EXPECT_GT(waited, 0);
+  EXPECT_GT(out.unspawned_trips, 0);
+  ASSERT_EQ(out.trajectories.size(), trips.size());
+  for (size_t i = 1000; i < trips.size(); ++i) {
+    // Due at an integer second, on a free link: it enters on that step.
+    ASSERT_FALSE(out.trajectories[i].entry_times.empty()) << "trip " << i;
+    const double spawn = out.trajectories[i].entry_times.front();
+    EXPECT_EQ(spawn, trips[i].depart_time_s) << "trip " << i;
+    // Meanwhile the jammed link holds a due trip that has not entered.
+    bool jammed_waiting = false;
+    for (size_t j = 0; j < 1000 && !jammed_waiting; ++j) {
+      const std::vector<double>& entries = out.trajectories[j].entry_times;
+      jammed_waiting = trips[j].depart_time_s <= spawn &&
+                       (entries.empty() || entries.front() > spawn);
+    }
+    EXPECT_TRUE(jammed_waiting) << "trip " << i;
+  }
+}
+
+TEST(EngineTest, AddTripRejectsNonFiniteDeparture) {
+  RoadNet net = MakeGridNetwork(2, 2, 200.0, 1, 10.0);
+  Engine engine(&net, ShortConfig());
+  const Route route{0};
+  EXPECT_DEATH(
+      engine.AddTrip({std::numeric_limits<double>::quiet_NaN(), route}),
+      "non-finite departure");
+  EXPECT_DEATH(
+      engine.AddTrip({-std::numeric_limits<double>::infinity(), route}),
+      "non-finite departure");
+  EXPECT_DEATH(
+      engine.AddTrip({std::numeric_limits<double>::infinity(), route}),
+      "non-finite departure");
+}
+
+TEST(EngineTest, AddTripRejectsOutOfRangeLinkIds) {
+  RoadNet net = MakeGridNetwork(2, 2, 200.0, 1, 10.0);
+  ASSERT_EQ(net.num_links(), 8);
+  Engine engine(&net, ShortConfig());
+  // One-link routes skip the connectivity check, so they need their own.
+  EXPECT_DEATH(engine.AddTrip({0.0, {1000}}), "link id out of range");
+  EXPECT_DEATH(engine.AddTrip({0.0, {-1}}), "link id out of range");
+  EXPECT_DEATH(engine.AddTrip({0.0, {0, 8}}), "link id out of range");
 }
 
 TEST(EngineTest, AddTripRejectsDisconnectedRoute) {

@@ -22,6 +22,13 @@ from BENCHMARK.json; a tie counts for neither side), and two verdicts:
   worse  the change's median is worse than the parent's by more than the
          metric's bound, read as a fraction of the parent's median.
 
+With --per-layer, each seed also gets one `--trace 1` run per side, in
+the same alternating order, and a second table lists every per-layer
+metric in BENCHMARK.json: each side's median and quartiles, and for
+count-unit metrics whether every seed read the same on both sides. A
+single traced run is too noisy to judge on its own, so per-layer rows get
+no gain or worse verdict; they say where an end-to-end change came from.
+
 To measure uncommitted work, stage it and pass a commit object made
 without touching any branch: `git add -A && --change "$(git stash create)"`.
 Run from anywhere inside the repository. Exit codes: 0 done, 1 a run
@@ -100,17 +107,44 @@ def summarize(metric, parent, change):
     }
 
 
-def format_row(row):
-    def side(q):
-        return f"{q[1]:10.5g} [{q[0]:.5g}, {q[2]:.5g}]"
+def summarize_layer(metric, parent, change):
+    """One per-layer metric's row, with no verdict: each side's quartiles,
+    and for count-unit metrics whether every seed read the same on both
+    sides (None for the other units)."""
+    return {
+        "name": metric["name"],
+        "unit": metric["unit"],
+        "parent": quartiles(parent),
+        "change": quartiles(change),
+        "identical": parent == change if metric["unit"] == "count" else None,
+    }
+
+
+def format_side(q):
+    return f"{q[1]:10.5g} [{q[0]:.5g}, {q[2]:.5g}]"
+
+
+def format_medians(row):
+    """Name, both sides' medians and quartiles, and the relative change."""
     p_med = row["parent"][1]
     rel = (row["change"][1] - p_med) / abs(p_med) if p_med else math.nan
-    wins = "identical" if row["identical"] else f"{row['wins']}/{row['pairs']}"
     name = f"{row['name']} ({row['unit']})"
-    return (f"  {name:26s} {side(row['parent']):32s} "
-            f"{side(row['change']):32s} {rel:+8.3f} {wins:>9s}  "
+    return (f"  {name:26s} {format_side(row['parent']):32s} "
+            f"{format_side(row['change']):32s} {rel:+8.3f}")
+
+
+def format_row(row):
+    wins = "identical" if row["identical"] else f"{row['wins']}/{row['pairs']}"
+    return (f"{format_medians(row)} {wins:>9s}  "
             f"{'yes' if row['gain'] else 'no':4s} "
             f"{'YES' if row['worse'] else 'no'}")
+
+
+def format_layer_row(row):
+    if row["identical"] is None:
+        return format_medians(row)
+    return (f"{format_medians(row)} "
+            f"{'identical' if row['identical'] else 'differs':>9s}")
 
 
 def export_revision(repo, rev, dest):
@@ -122,12 +156,12 @@ def export_revision(repo, rev, dest):
         tar.extractall(dest, filter="data")
 
 
-def run_side(tree, workload, seed, seconds):
+def run_side(tree, workload, seed, seconds, trace=0):
     """One run.py call in `tree`; returns its result dict, or None."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(tree / ".bench_build"))
     cmd = [sys.executable, str(tree / "ovsbench" / "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", "0"]
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.splitlines()
@@ -154,6 +188,9 @@ def main():
                         help="default: run_seconds from BENCHMARK.json")
     parser.add_argument("--workdir", default=None,
                         help="where the two trees go (default: a new temp dir)")
+    parser.add_argument("--per-layer", action="store_true",
+                        help="also one traced run per side and seed, and a "
+                             "table of the per-layer metrics")
     args = parser.parse_args()
 
     repo = pathlib.Path(subprocess.run(
@@ -180,21 +217,29 @@ def main():
             return 1
 
     runs = []
+    traced_runs = []
     failed = False
     for i in range(args.seeds):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {side: run_side(trees[side], args.workload, seed, seconds)
-                for side in order}
-        if any(r is None or not r["correct"] for r in pair.values()):
-            failed = True
-        if any(r is None for r in pair.values()):
-            continue
-        runs.append(pair)
-        print(f"seed {seed} ({order[0]} first): " + "  ".join(
-            f"{m['name']}={pair['parent']['metrics'][m['name']]['value']:.5g}"
-            f"->{pair['change']['metrics'][m['name']]['value']:.5g}"
-            for m in spec["end_to_end"]), flush=True)
+        for trace in (0, 1) if args.per_layer else (0,):
+            pair = {side: run_side(trees[side], args.workload, seed, seconds,
+                                   trace)
+                    for side in order}
+            if any(r is None or not r["correct"] for r in pair.values()):
+                failed = True
+            if any(r is None for r in pair.values()):
+                continue
+            if trace:
+                traced_runs.append(pair)
+                print(f"seed {seed} ({order[0]} first): traced pair done",
+                      flush=True)
+                continue
+            runs.append(pair)
+            print(f"seed {seed} ({order[0]} first): " + "  ".join(
+                f"{m['name']}={pair['parent']['metrics'][m['name']]['value']:.5g}"
+                f"->{pair['change']['metrics'][m['name']]['value']:.5g}"
+                for m in spec["end_to_end"]), flush=True)
     if not runs:
         print("no complete pair", file=sys.stderr)
         return 1
@@ -211,6 +256,16 @@ def main():
         row = summarize(metric, values["parent"], values["change"])
         any_worse |= row["worse"]
         print(format_row(row))
+    if traced_runs:
+        print(f"== {args.workload} per layer: {len(traced_runs)} traced pairs "
+              "(no verdict)")
+        print(f"  {'metric':26s} {'parent median [Q1, Q3]':32s} "
+              f"{'change median [Q1, Q3]':32s} {'rel':>8s} {'per seed':>9s}")
+        for metric in spec["per_layer"]:
+            values = {side: [r[side]["metrics"][metric["name"]]["value"]
+                             for r in traced_runs] for side in trees}
+            print(format_layer_row(
+                summarize_layer(metric, values["parent"], values["change"])))
     return 1 if failed or any_worse else 0
 
 

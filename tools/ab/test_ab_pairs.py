@@ -125,5 +125,42 @@ class SummarizeTest(unittest.TestCase):
         self.assertIn("identical", ab_pairs.format_row(row))
 
 
+class LayerSummaryTest(unittest.TestCase):
+    TIME = {"name": "sim.run_ms", "unit": "ms", "better": "lower"}
+    COUNT = {"name": "sim.vehicle_steps", "unit": "count", "better": "lower"}
+
+    def test_quartiles_per_side_and_no_verdict(self):
+        parent = [85.8, 101.0, 102.0, 90.0]
+        change = [52.3, 47.3, 51.8, 50.0]
+        row = ab_pairs.summarize_layer(self.TIME, parent, change)
+        self.assertEqual(row["parent"], ab_pairs.quartiles(parent))
+        self.assertEqual(row["change"], ab_pairs.quartiles(change))
+        for verdict in ("gain", "worse", "wins"):
+            self.assertNotIn(verdict, row)
+        line = ab_pairs.format_layer_row(row)
+        self.assertIn("sim.run_ms (ms)", line)
+        self.assertNotIn("yes", line)
+        self.assertNotIn("YES", line)
+
+    def test_counts_say_whether_every_seed_matched(self):
+        same = ab_pairs.summarize_layer(self.COUNT, [682909, 690950],
+                                        [682909, 690950])
+        self.assertIs(same["identical"], True)
+        self.assertIn("identical", ab_pairs.format_layer_row(same))
+        # Equal medians are not enough: the values must match seed by seed.
+        swapped = ab_pairs.summarize_layer(self.COUNT, [682909, 690950],
+                                           [690950, 682909])
+        self.assertEqual(swapped["parent"], swapped["change"])
+        self.assertIs(swapped["identical"], False)
+        self.assertIn("differs", ab_pairs.format_layer_row(swapped))
+
+    def test_other_units_are_not_compared_per_seed(self):
+        row = ab_pairs.summarize_layer(self.TIME, [1.0, 2.0], [1.0, 2.0])
+        self.assertIsNone(row["identical"])
+        line = ab_pairs.format_layer_row(row)
+        self.assertNotIn("identical", line)
+        self.assertNotIn("differs", line)
+
+
 if __name__ == "__main__":
     unittest.main()
