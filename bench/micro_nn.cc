@@ -67,17 +67,10 @@ void BM_MatMulThreaded(benchmark::State& state) {
 BENCHMARK(BM_MatMulThreaded)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMicrosecond);
 
-// Kernel A/B rows: one raw GemmNN product under the shipped blocked kernel
-// (kernel:0) and under the exact pre-PR naive triple loop (kernel:1,
-// GemmKernelMode::kNaiveZeroSkip). The naive row exists purely as the
-// measurement baseline for the vectorized rewrite — compare equal-size rows
-// to read the kernel speedup in isolation from autodiff overhead.
+// One raw GemmNN product through the blocked kernel: the kernel's
+// throughput in isolation from autodiff overhead.
 void BM_GemmKernel(benchmark::State& state) {
-  const bool naive = state.range(0) != 0;
-  const int n = static_cast<int>(state.range(1));
-  gemm::SetGemmKernelModeForTesting(naive
-                                        ? gemm::GemmKernelMode::kNaiveZeroSkip
-                                        : gemm::GemmKernelMode::kBlocked);
+  const int n = static_cast<int>(state.range(0));
   Rng rng(5);
   Tensor a = Tensor::RandomUniform({n, n}, -1, 1, &rng);
   Tensor b = Tensor::RandomUniform({n, n}, -1, 1, &rng);
@@ -86,17 +79,10 @@ void BM_GemmKernel(benchmark::State& state) {
     gemm::GemmNN(n, n, n, a.data(), b.data(), c.data());
     benchmark::DoNotOptimize(c[0]);
   }
-  gemm::SetGemmKernelModeForTesting(gemm::GemmKernelMode::kBlocked);
   state.counters["flops"] = benchmark::Counter(
       2.0 * n * n * n * state.iterations(), benchmark::Counter::kIsRate);
-  state.counters["naive"] = naive ? 1 : 0;
 }
-BENCHMARK(BM_GemmKernel)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 256})
-    ->Args({1, 256})
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmKernel)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 void BM_LstmSequence(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
@@ -147,17 +133,9 @@ void BM_OvsFullIteration(benchmark::State& state) {
 BENCHMARK(BM_OvsFullIteration)->Arg(24)->Arg(126)->Arg(360)
     ->Unit(benchmark::kMillisecond);
 
-// The recovery acceptance row: the full RecoverTod multi-restart path at
-// R=8 restarts on one thread. range(0) selects the shipped configuration
-// (0: blocked SIMD kernels + batched lockstep restarts) or the pre-rewrite
-// one (1: the frozen reference op layer from nn/ops_ref.cc — naive zero-skip
-// GEMMs, checked element access — driven by the legacy one-restart-at-a-time
-// loop). The two compute the same recovery — gemm_parity_test pins op-level
-// parity bitwise and end-to-end agreement to tight tolerance (the fused
-// gate backward regroups its reduction) — and the shipped row must stay
-// >= 4x faster.
+// The full RecoverTod multi-restart path at R=8 restarts on one thread:
+// blocked SIMD kernels and batched lockstep restarts.
 void BM_RecoveryRestarts(benchmark::State& state) {
-  const bool pre_pr = state.range(0) != 0;
   SetGlobalThreads(1);
   data::Dataset ds = data::BuildDataset(data::Synthetic3x3Config());
   core::TrainingData train = core::GenerateTrainingData(ds, 3, 42);
@@ -174,8 +152,6 @@ void BM_RecoveryRestarts(benchmark::State& state) {
   core::TrainerConfig tc;
   tc.recovery_epochs = 8;
   tc.recovery_restarts = 8;
-  tc.batch_restarts = !pre_pr;
-  SetReferenceOpsForTesting(pre_pr);
   for (auto _ : state) {
     core::OvsTrainer trainer(&model, tc);
     trainer.PrimeRecoveryPrior(train);
@@ -184,11 +160,9 @@ void BM_RecoveryRestarts(benchmark::State& state) {
         trainer.RecoverTod(observed.speed, nullptr, &recover_rng).value();
     benchmark::DoNotOptimize(tod.at(0, 0));
   }
-  SetReferenceOpsForTesting(false);
   state.counters["restarts"] = tc.recovery_restarts;
-  state.counters["pre_pr"] = pre_pr ? 1 : 0;
 }
-BENCHMARK(BM_RecoveryRestarts)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RecoveryRestarts)->Unit(benchmark::kMillisecond);
 
 void BM_AdamStep(benchmark::State& state) {
   Rng rng(4);

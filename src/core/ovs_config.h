@@ -35,13 +35,6 @@ struct OvsConfig {
   float speed_scale = 14.0f;   ///< max speed in m/s (sigmoid ceiling)
 
   float dropout = 0.0f;  ///< paper uses 0.3 during the mapping training
-
-  /// Worker threads for the training/recovery hot paths (GEMM row blocks,
-  /// concurrent recovery restarts). 0 keeps the process-wide default
-  /// (OVS_NUM_THREADS env var, else hardware_concurrency); >= 1 resizes the
-  /// global pool when an OvsTrainer is constructed on this config. Results
-  /// are bitwise-identical for every thread count (see DESIGN.md).
-  int num_threads = 0;
 };
 
 }  // namespace ovs::core

@@ -96,11 +96,6 @@ int TryResumeStage(const CheckpointOptions& ck, const std::string& stage,
 OvsTrainer::OvsTrainer(OvsModel* model, TrainerConfig config)
     : model_(model), config_(config), dropout_rng_(987654321) {
   CHECK(model != nullptr);
-  // Threading knob: a positive OvsConfig::num_threads resizes the global
-  // pool; 0 keeps the process default (OVS_NUM_THREADS / hardware).
-  if (model->config().num_threads > 0) {
-    SetGlobalThreads(model->config().num_threads);
-  }
 }
 
 StatusOr<std::vector<double>> OvsTrainer::TrainVolumeSpeed(

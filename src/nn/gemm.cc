@@ -11,7 +11,6 @@ namespace ovs::nn::gemm {
 
 namespace {
 
-GemmKernelMode g_kernel_mode = GemmKernelMode::kBlocked;
 int g_vector_width = 0;  // 0 = kVecWidth
 
 /// One register block: MR output rows (compile-time, so the r loops fully
@@ -139,60 +138,6 @@ void BlockedNT(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
   GemmStridedA<W>(n, k, m, a, /*ars=*/m, /*acs=*/1, bt.data(), c);
 }
 
-/// Pre-PR reference kernels, preserved verbatim (including the zero-skip
-/// fast path that swallows NaN/Inf from the other operand — the bug the
-/// blocked kernels fix). Kept only so the NaN regression test can fail on
-/// the old behavior and micro_nn can A/B the speedup.
-int64_t NaiveRowGrain(int64_t work_per_row) {
-  return std::max<int64_t>(1,
-                           kMinWorkPerChunk / std::max<int64_t>(1, work_per_row));
-}
-
-void NaiveNN(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
-             float* c) {
-  ParallelFor(0, n, NaiveRowGrain(k * m), [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a[i * k + p];
-        if (av == 0.0f) continue;
-        const float* brow = b + p * m;
-        float* crow = c + i * m;
-        for (int64_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-void NaiveNT(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
-             float* c) {
-  ParallelFor(0, n, NaiveRowGrain(k * m), [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) {
-      for (int64_t j = 0; j < k; ++j) {
-        const float* arow = a + i * m;
-        const float* brow = b + j * m;
-        float acc = 0.0f;
-        for (int64_t p = 0; p < m; ++p) acc += arow[p] * brow[p];
-        c[i * k + j] += acc;
-      }
-    }
-  });
-}
-
-void NaiveTN(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
-             float* c) {
-  ParallelFor(0, k, NaiveRowGrain(n * m), [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-      float* crow = c + p * m;
-      for (int64_t i = 0; i < n; ++i) {
-        const float av = a[i * k + p];
-        if (av == 0.0f) continue;
-        const float* brow = b + i * m;
-        for (int64_t j = 0; j < m; ++j) crow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
 }  // namespace
 
 int64_t RowBlockGrain(int64_t red, int64_t cols) {
@@ -200,10 +145,6 @@ int64_t RowBlockGrain(int64_t red, int64_t cols) {
   return std::max<int64_t>(1,
                            kMinWorkPerChunk / std::max<int64_t>(1, work_per_block));
 }
-
-void SetGemmKernelModeForTesting(GemmKernelMode mode) { g_kernel_mode = mode; }
-
-GemmKernelMode GetGemmKernelMode() { return g_kernel_mode; }
 
 void SetGemmVectorWidthForTesting(int width) {
   CHECK(width == 0 || width == 1 || width == 4 || width == 8)
@@ -217,10 +158,6 @@ int GemmVectorWidth() {
 
 void GemmNN(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
             float* c) {
-  if (g_kernel_mode == GemmKernelMode::kNaiveZeroSkip) {
-    NaiveNN(n, k, m, a, b, c);
-    return;
-  }
   switch (GemmVectorWidth()) {
     case 4:
       BlockedNN<4>(n, k, m, a, b, c);
@@ -236,10 +173,6 @@ void GemmNN(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
 
 void GemmNT(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
             float* c) {
-  if (g_kernel_mode == GemmKernelMode::kNaiveZeroSkip) {
-    NaiveNT(n, k, m, a, b, c);
-    return;
-  }
   switch (GemmVectorWidth()) {
     case 4:
       BlockedNT<4>(n, k, m, a, b, c);
@@ -255,10 +188,6 @@ void GemmNT(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
 
 void GemmTN(int64_t n, int64_t k, int64_t m, const float* a, const float* b,
             float* c) {
-  if (g_kernel_mode == GemmKernelMode::kNaiveZeroSkip) {
-    NaiveTN(n, k, m, a, b, c);
-    return;
-  }
   switch (GemmVectorWidth()) {
     case 4:
       BlockedTN<4>(n, k, m, a, b, c);

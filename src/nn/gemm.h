@@ -19,11 +19,9 @@
 ///    changes how many independent elements advance together. With the
 ///    two-rounding MulAdd of vec.h, widths 1/4/8 are bitwise-identical.
 ///
-/// NaN semantics: unlike the pre-PR naive kernels there is NO zero-skip
-/// fast path — 0 * NaN = NaN propagates, so a poisoned operand reaches the
-/// loss and trips the TrainGuard instead of being silently swallowed. The
-/// old behavior is kept behind GemmKernelMode::kNaiveZeroSkip purely so
-/// tests/benches can demonstrate the bug and measure the speedup.
+/// NaN semantics: there is NO zero-skip fast path — 0 * NaN = NaN
+/// propagates, so a poisoned operand reaches the loss and trips the
+/// TrainGuard instead of being silently swallowed.
 
 namespace ovs::nn::gemm {
 
@@ -33,21 +31,13 @@ namespace ovs::nn::gemm {
 inline constexpr int kRowBlock = 4;  ///< MR: output rows per register block
 inline constexpr int kKTile = 256;   ///< KC: reduction-tile length
 
-/// Minimum multiply-adds a ParallelFor chunk should carry (same budget the
-/// naive kernels used per row chunk, now applied to row-block work).
+/// Minimum multiply-adds a ParallelFor chunk should carry.
 inline constexpr int64_t kMinWorkPerChunk = int64_t{1} << 15;
 
 /// Grain (in units of kRowBlock-row blocks) so each chunk carries at least
 /// kMinWorkPerChunk multiply-adds of tile work. Tiny products fit in one
 /// chunk and run inline on the calling thread.
 int64_t RowBlockGrain(int64_t red, int64_t cols);
-
-/// Kernel selector, runtime-switchable for tests and A/B benchmarks only.
-/// kNaiveZeroSkip is the exact pre-PR triple loop including its
-/// `if (av == 0.0f) continue;` NaN-swallowing fast path.
-enum class GemmKernelMode { kBlocked, kNaiveZeroSkip };
-void SetGemmKernelModeForTesting(GemmKernelMode mode);
-GemmKernelMode GetGemmKernelMode();
 
 /// Vector width used by the blocked kernels: kVecWidth by default; tests
 /// override with 1/4/8 to prove the parity contract (0 restores default).

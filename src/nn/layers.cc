@@ -56,34 +56,8 @@ Lstm::Lstm(int input_size, int hidden_size, Rng* rng)
   bo_ = RegisterParameter("bo", Tensor({hidden_size}));
 }
 
-std::vector<Variable> Lstm::ForwardUnfusedReference(
-    const std::vector<Variable>& xs) const {
-  const int n = xs[0].value().dim(0);
-  auto gate = [&](const Variable& x, const Variable& h, const Variable& wx,
-                  const Variable& wh, const Variable& b) {
-    return AddBias(Add(MatMul(x, wx), MatMul(h, wh)), b);
-  };
-  Variable h(Tensor({n, hidden_size_}));
-  Variable c(Tensor({n, hidden_size_}));
-  std::vector<Variable> outputs;
-  outputs.reserve(xs.size());
-  for (const Variable& x : xs) {
-    CHECK_EQ(x.value().dim(0), n);
-    CHECK_EQ(x.value().dim(1), input_size_);
-    Variable i = Sigmoid(gate(x, h, wxi_, whi_, bi_));
-    Variable f = Sigmoid(gate(x, h, wxf_, whf_, bf_));
-    Variable g = Tanh(gate(x, h, wxg_, whg_, bg_));
-    Variable o = Sigmoid(gate(x, h, wxo_, who_, bo_));
-    c = Add(Mul(f, c), Mul(i, g));
-    h = Mul(o, Tanh(c));
-    outputs.push_back(h);
-  }
-  return outputs;
-}
-
 std::vector<Variable> Lstm::Forward(const std::vector<Variable>& xs) const {
   CHECK(!xs.empty());
-  if (ReferenceOpsEnabled()) return ForwardUnfusedReference(xs);
   const int n = xs[0].value().dim(0);
   const int hs = hidden_size_;
   // Fused gate parameters, built once per sequence: one [N, 4H] GEMM per

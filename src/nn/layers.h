@@ -67,16 +67,6 @@ class Lstm : public Module {
   int hidden_size() const { return hidden_size_; }
 
  private:
-  /// The pre-rewrite gate structure (four separate [N, H] matmuls per step).
-  /// Taken when SetReferenceOpsForTesting(true) is in effect so the
-  /// reference-mode graph matches the pre-rewrite one op for op. Forward
-  /// values are bitwise-identical to the fused path (same dot products in
-  /// the same order); backward regroups the h/x gradient reduction (one
-  /// 4H-wide GEMM vs four H-wide sums), so gradients agree only to
-  /// rounding, not bitwise.
-  std::vector<Variable> ForwardUnfusedReference(
-      const std::vector<Variable>& xs) const;
-
   int input_size_;
   int hidden_size_;
   // Gate parameter blocks: input (i), forget (f), cell candidate (g),

@@ -1,7 +1,5 @@
 #include "nn/ops.h"
 
-#include "nn/ops_ref.h"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -16,10 +14,6 @@ namespace {
 
 using internal::VariableNode;
 
-/// When set, ops with a frozen pre-rewrite twin dispatch to nn::ref — see
-/// SetReferenceOpsForTesting in ops.h.
-bool g_reference_ops = false;
-
 /// Accumulates `delta` into parent i's grad if that parent wants gradients.
 void AccumulateInto(VariableNode& n, size_t parent, const Tensor& delta) {
   if (n.parents[parent]->requires_grad) {
@@ -30,17 +24,16 @@ void AccumulateInto(VariableNode& n, size_t parent, const Tensor& delta) {
 /// Counts one GEMM's multiply-adds into `nn.gemm_flops` — once per call,
 /// outside the ParallelFor, so the counter is a pure function of the shapes
 /// multiplied and bitwise-stable at any thread count (the run-report work
-/// counter tools/perfdiff gates on). Always the nominal 2*N*K*M figure,
-/// independent of the kernel selected in nn/gemm.h.
+/// counter tools/perfdiff gates on). Always the nominal 2*N*K*M figure.
 void CountGemmFlops(int64_t n, int64_t k, int64_t m) {
   OVS_COUNTER_ADD("nn.gemm_flops", static_cast<uint64_t>(2 * n * k * m));
 }
 
 /// Tensor-level wrappers over the register-blocked kernels in nn/gemm.h
 /// (row-major, no transpose flags: the three cases we need are materialized
-/// explicitly for clarity). All add into c. Unlike the pre-PR naive loops
-/// these have no zero-skip fast path: 0 * NaN stays NaN, so poisoned
-/// operands propagate to the loss instead of being silently swallowed.
+/// explicitly for clarity). All add into c. There is no zero-skip fast
+/// path: 0 * NaN stays NaN, so poisoned operands propagate to the loss
+/// instead of being silently swallowed.
 void GemmNN(const Tensor& a, const Tensor& b, Tensor* c) {
   // c[N,M] += a[N,K] * b[K,M]
   const int n = a.dim(0), k = a.dim(1), m = b.dim(1);
@@ -73,12 +66,7 @@ void GemmTN(const Tensor& a, const Tensor& b, Tensor* c) {
 
 }  // namespace
 
-void SetReferenceOpsForTesting(bool enabled) { g_reference_ops = enabled; }
-
-bool ReferenceOpsEnabled() { return g_reference_ops; }
-
 Variable Add(const Variable& a, const Variable& b) {
-  if (g_reference_ops) return ref::Add(a, b);
   CHECK(a.value().SameShape(b.value()))
       << "Add: " << ShapeToString(a.shape()) << " vs " << ShapeToString(b.shape());
   Tensor out = a.value();
@@ -90,7 +78,6 @@ Variable Add(const Variable& a, const Variable& b) {
 }
 
 Variable Sub(const Variable& a, const Variable& b) {
-  if (g_reference_ops) return ref::Sub(a, b);
   CHECK(a.value().SameShape(b.value()));
   Tensor out = a.value();
   out.AxpyInPlace(-1.0f, b.value());
@@ -103,7 +90,6 @@ Variable Sub(const Variable& a, const Variable& b) {
 }
 
 Variable Mul(const Variable& a, const Variable& b) {
-  if (g_reference_ops) return ref::Mul(a, b);
   CHECK(a.value().SameShape(b.value()));
   Tensor out(a.shape());
   const int count = out.numel();
@@ -131,7 +117,6 @@ Variable Mul(const Variable& a, const Variable& b) {
 }
 
 Variable ScalarMul(const Variable& a, float alpha) {
-  if (g_reference_ops) return ref::ScalarMul(a, alpha);
   Tensor out = a.value();
   out.ScaleInPlace(alpha);
   return Variable::MakeNode(std::move(out), {a}, [alpha](VariableNode& n) {
@@ -142,7 +127,6 @@ Variable ScalarMul(const Variable& a, float alpha) {
 }
 
 Variable AddScalar(const Variable& a, float alpha) {
-  if (g_reference_ops) return ref::AddScalar(a, alpha);
   Tensor out = a.value();
   const int count = out.numel();
   float* o = out.data();
@@ -153,7 +137,6 @@ Variable AddScalar(const Variable& a, float alpha) {
 }
 
 Variable MulConst(const Variable& a, const Tensor& mask) {
-  if (g_reference_ops) return ref::MulConst(a, mask);
   CHECK(a.value().SameShape(mask));
   Tensor out(a.shape());
   const int count = out.numel();
@@ -174,7 +157,6 @@ Variable MulConst(const Variable& a, const Tensor& mask) {
 }
 
 Variable MatMul(const Variable& a, const Variable& b) {
-  if (g_reference_ops) return ref::MatMul(a, b);
   CHECK_EQ(a.value().rank(), 2);
   CHECK_EQ(b.value().rank(), 2);
   CHECK_EQ(a.value().dim(1), b.value().dim(0))
@@ -194,7 +176,6 @@ Variable MatMul(const Variable& a, const Variable& b) {
 }
 
 Variable AddBias(const Variable& x, const Variable& bias) {
-  if (g_reference_ops) return ref::AddBias(x, bias);
   CHECK_EQ(x.value().rank(), 2);
   const int n = x.value().dim(0), d = x.value().dim(1);
   CHECK_EQ(bias.numel(), d) << "AddBias dim mismatch";
@@ -216,11 +197,6 @@ Variable AddBias(const Variable& x, const Variable& bias) {
   });
 }
 
-Variable FixedMatMul(const Tensor& a, const Variable& x) {
-  if (g_reference_ops) return ref::FixedMatMul(a, x);
-  return BatchedFixedMatMul(a, x, /*blocks=*/1);
-}
-
 Variable BatchedFixedMatMul(const Tensor& a, const Variable& x, int blocks) {
   CHECK_EQ(a.rank(), 2);
   CHECK_EQ(x.value().rank(), 2);
@@ -232,7 +208,7 @@ Variable BatchedFixedMatMul(const Tensor& a, const Variable& x, int blocks) {
   Tensor out({rows * blocks, t});
   CountGemmFlops(int64_t{rows} * blocks, cols, t);
   // One block-diagonal product: block b of the output only reads block b of
-  // x, so each block is bitwise-identical to a solo FixedMatMul.
+  // x, so each block is bitwise-identical to a blocks=1 product.
   for (int b = 0; b < blocks; ++b) {
     gemm::GemmNN(rows, cols, t, a.data(), x.value().data() + int64_t{b} * cols * t,
                  out.data() + int64_t{b} * rows * t);
@@ -252,7 +228,6 @@ Variable BatchedFixedMatMul(const Tensor& a, const Variable& x, int blocks) {
 }
 
 Variable Sigmoid(const Variable& x) {
-  if (g_reference_ops) return ref::Sigmoid(x);
   Tensor out(x.shape());
   const int count = out.numel();
   const float* xv = x.value().data();
@@ -275,7 +250,6 @@ Variable Sigmoid(const Variable& x) {
 }
 
 Variable Tanh(const Variable& x) {
-  if (g_reference_ops) return ref::Tanh(x);
   Tensor out(x.shape());
   const int count = out.numel();
   const float* xv = x.value().data();
@@ -296,7 +270,6 @@ Variable Tanh(const Variable& x) {
 }
 
 Variable Relu(const Variable& x) {
-  if (g_reference_ops) return ref::Relu(x);
   Tensor out(x.shape());
   const int count = out.numel();
   const float* xv = x.value().data();
@@ -318,7 +291,6 @@ Variable Relu(const Variable& x) {
 }
 
 Variable SoftmaxRows(const Variable& x) {
-  if (g_reference_ops) return ref::SoftmaxRows(x);
   CHECK_EQ(x.value().rank(), 2);
   const int n = x.value().dim(0), d = x.value().dim(1);
   Tensor out(x.shape());
@@ -351,7 +323,6 @@ Variable SoftmaxRows(const Variable& x) {
 }
 
 Variable Dropout(const Variable& x, float rate, bool train, Rng* rng) {
-  if (g_reference_ops) return ref::Dropout(x, rate, train, rng);
   CHECK_GE(rate, 0.0f);
   CHECK_LT(rate, 1.0f);
   if (!train || rate == 0.0f) return x;
@@ -365,7 +336,6 @@ Variable Dropout(const Variable& x, float rate, bool train, Rng* rng) {
 }
 
 Variable Conv1dBatch(const Variable& x, const Variable& w, const Variable& bias) {
-  if (g_reference_ops) return ref::Conv1dBatch(x, w, bias);
   CHECK_EQ(x.value().rank(), 3);
   CHECK_EQ(w.value().rank(), 3);
   const int n = x.value().dim(0), cin = x.value().dim(1), t = x.value().dim(2);
@@ -432,28 +402,6 @@ Variable Conv1dBatch(const Variable& x, const Variable& w, const Variable& bias)
       });
 }
 
-Variable SumBatch(const Variable& x) {
-  if (g_reference_ops) return ref::SumBatch(x);
-  CHECK_EQ(x.value().rank(), 3);
-  const int n = x.value().dim(0), c = x.value().dim(1), t = x.value().dim(2);
-  Tensor out({c, t});
-  {
-    const float* xv = x.value().data();
-    float* o = out.data();
-    for (int b = 0; b < n; ++b) {
-      for (int i = 0; i < c * t; ++i) o[i] += xv[b * c * t + i];
-    }
-  }
-  return Variable::MakeNode(std::move(out), {x}, [n, c, t](VariableNode& node) {
-    if (!node.parents[0]->requires_grad) return;
-    float* g = node.parents[0]->MutableGrad().data();
-    const float* gr = node.grad.data();
-    for (int b = 0; b < n; ++b) {
-      for (int i = 0; i < c * t; ++i) g[b * c * t + i] += gr[i];
-    }
-  });
-}
-
 Variable SumBatchBlocks(const Variable& x, int blocks) {
   CHECK_EQ(x.value().rank(), 3);
   CHECK_GE(blocks, 1);
@@ -463,8 +411,8 @@ Variable SumBatchBlocks(const Variable& x, int blocks) {
   const int n = x.value().dim(0) / blocks;
   const int c = x.value().dim(1), t = x.value().dim(2);
   Tensor out({blocks * c, t});
-  // Per block, the same item-ascending accumulation order as SumBatch, so
-  // block r is bitwise-identical to SumBatch over that block alone.
+  // Items accumulate in ascending order within each block, so block r is
+  // bitwise-identical to a blocks=1 sum over that block alone.
   for (int r = 0; r < blocks; ++r) {
     float* orow = out.data() + int64_t{r} * c * t;
     const float* xblk = x.value().data() + int64_t{r} * n * c * t;
@@ -487,7 +435,6 @@ Variable SumBatchBlocks(const Variable& x, int blocks) {
 }
 
 Variable SumCols(const Variable& x) {
-  if (g_reference_ops) return ref::SumCols(x);
   CHECK_EQ(x.value().rank(), 2);
   const int n = x.value().dim(0), t = x.value().dim(1);
   Tensor out({n, 1});
@@ -511,7 +458,6 @@ Variable SumCols(const Variable& x) {
 }
 
 Variable ColSlice(const Variable& x, int t) {
-  if (g_reference_ops) return ref::ColSlice(x, t);
   CHECK_EQ(x.value().rank(), 2);
   const int n = x.value().dim(0), cols = x.value().dim(1);
   CHECK_GE(t, 0);
@@ -531,7 +477,6 @@ Variable ColSlice(const Variable& x, int t) {
 }
 
 Variable ConcatCols(const std::vector<Variable>& cols) {
-  if (g_reference_ops) return ref::ConcatCols(cols);
   CHECK(!cols.empty());
   const int n = cols[0].value().dim(0);
   const int t = static_cast<int>(cols.size());
@@ -559,7 +504,6 @@ Variable ConcatCols(const std::vector<Variable>& cols) {
 }
 
 Variable ConcatFeatures(const Variable& a, const Variable& b) {
-  if (g_reference_ops) return ref::ConcatFeatures(a, b);
   CHECK_EQ(a.value().rank(), 2);
   CHECK_EQ(b.value().rank(), 2);
   const int n = a.value().dim(0);
@@ -779,7 +723,6 @@ Variable TileRows(const Variable& x, int repeats) {
 }
 
 Variable GatherRows(const Variable& x, const std::vector<int>& indices) {
-  if (g_reference_ops) return ref::GatherRows(x, indices);
   CHECK_EQ(x.value().rank(), 2);
   const int n = x.value().dim(0), d = x.value().dim(1);
   Tensor out({static_cast<int>(indices.size()), d});
@@ -807,7 +750,6 @@ Variable GatherRows(const Variable& x, const std::vector<int>& indices) {
 }
 
 Variable Reshape(const Variable& x, std::vector<int> new_shape) {
-  if (g_reference_ops) return ref::Reshape(x, std::move(new_shape));
   Tensor out = x.value().Reshaped(std::move(new_shape));
   return Variable::MakeNode(std::move(out), {x}, [](VariableNode& node) {
     if (!node.parents[0]->requires_grad) return;
@@ -817,11 +759,6 @@ Variable Reshape(const Variable& x, std::vector<int> new_shape) {
     const int count = grad.numel();
     for (int i = 0; i < count; ++i) g[i] += gr[i];
   });
-}
-
-Variable BuildAttentionInput(const Variable& e, const Variable& emb) {
-  if (g_reference_ops) return ref::BuildAttentionInput(e, emb);
-  return BatchedBuildAttentionInput(e, emb, /*blocks=*/1);
 }
 
 Variable BatchedBuildAttentionInput(const Variable& e, const Variable& emb,
@@ -890,7 +827,6 @@ Variable BatchedBuildAttentionInput(const Variable& e, const Variable& emb,
 }
 
 Variable LagAttentionApply(const Variable& alpha, const Variable& s, int lags) {
-  if (g_reference_ops) return ref::LagAttentionApply(alpha, s, lags);
   CHECK_EQ(alpha.value().rank(), 2);
   CHECK_EQ(s.value().rank(), 2);
   const int m = s.value().dim(0), t = s.value().dim(1);
@@ -936,7 +872,6 @@ Variable LagAttentionApply(const Variable& alpha, const Variable& s, int lags) {
 }
 
 Variable Sum(const Variable& x) {
-  if (g_reference_ops) return ref::Sum(x);
   Tensor out = Tensor::Scalar(x.value().Sum());
   return Variable::MakeNode(std::move(out), {x}, [](VariableNode& node) {
     if (!node.parents[0]->requires_grad) return;
@@ -949,7 +884,6 @@ Variable Sum(const Variable& x) {
 }
 
 Variable Mean(const Variable& x) {
-  if (g_reference_ops) return ref::Mean(x);
   const int n = x.numel();
   CHECK_GT(n, 0);
   Tensor out = Tensor::Scalar(x.value().Mean());
@@ -964,7 +898,6 @@ Variable Mean(const Variable& x) {
 }
 
 Variable MseLoss(const Variable& pred, const Tensor& target) {
-  if (g_reference_ops) return ref::MseLoss(pred, target);
   CHECK(pred.value().SameShape(target))
       << "MseLoss: " << ShapeToString(pred.shape()) << " vs "
       << ShapeToString(target.shape());
@@ -991,7 +924,6 @@ Variable MseLoss(const Variable& pred, const Tensor& target) {
 }
 
 Variable HuberLoss(const Variable& pred, const Tensor& target, float delta) {
-  if (g_reference_ops) return ref::HuberLoss(pred, target, delta);
   CHECK(pred.value().SameShape(target));
   CHECK_GT(delta, 0.0f);
   const int n = pred.numel();
@@ -1023,7 +955,6 @@ Variable HuberLoss(const Variable& pred, const Tensor& target, float delta) {
 
 Variable MaskedMseLoss(const Variable& pred, const Tensor& target,
                        const Tensor& mask) {
-  if (g_reference_ops) return ref::MaskedMseLoss(pred, target, mask);
   CHECK(pred.value().SameShape(target))
       << "MaskedMseLoss: " << ShapeToString(pred.shape()) << " vs "
       << ShapeToString(target.shape());
@@ -1062,7 +993,6 @@ Variable MaskedMseLoss(const Variable& pred, const Tensor& target,
 
 Variable MaskedHuberLoss(const Variable& pred, const Tensor& target,
                          const Tensor& mask, float delta) {
-  if (g_reference_ops) return ref::MaskedHuberLoss(pred, target, mask, delta);
   CHECK(pred.value().SameShape(target));
   CHECK(pred.value().SameShape(mask));
   CHECK_GT(delta, 0.0f);
@@ -1102,7 +1032,6 @@ Variable MaskedHuberLoss(const Variable& pred, const Tensor& target,
 }
 
 Variable HingeSquaredLoss(const Variable& x) {
-  if (g_reference_ops) return ref::HingeSquaredLoss(x);
   const int n = x.numel();
   CHECK_GT(n, 0);
   double acc = 0.0;

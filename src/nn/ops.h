@@ -40,15 +40,13 @@ Variable MatMul(const Variable& a, const Variable& b);
 /// Adds a bias row-broadcast: x is [N, D], bias is [D] (or [1, D]) -> [N, D].
 Variable AddBias(const Variable& x, const Variable& bias);
 
-/// out = A * x where A is a constant [M, N] matrix (not differentiated) and
-/// x is [N, T]. Used for the fixed route->link incidence aggregation.
-Variable FixedMatMul(const Tensor& a, const Variable& x);
-
-/// Block-diagonal application of a constant matrix: x is `blocks` stacked
-/// [N, T] row blocks and every block is multiplied by the same [M, N]
-/// matrix a -> `blocks` stacked [M, T] row blocks. Block b of the output is
-/// bitwise-identical to FixedMatMul(a, block b of x) — the batched-restart
-/// layout of the recovery path relies on that.
+/// Block-diagonal application of a constant (not differentiated) matrix: x
+/// is `blocks` stacked [N, T] row blocks and every block is multiplied by
+/// the same [M, N] matrix a -> `blocks` stacked [M, T] row blocks; blocks=1
+/// is the plain product A * x. Used for the fixed route->link incidence
+/// aggregation. Block b of the output is bitwise-identical to the blocks=1
+/// product of block b of x — the batched-restart layout of the recovery
+/// path relies on that.
 Variable BatchedFixedMatMul(const Tensor& a, const Variable& x, int blocks);
 
 // ---------------------------------------------------------------------------
@@ -78,13 +76,10 @@ Variable Conv1dBatch(const Variable& x, const Variable& w, const Variable& bias)
 // Shape / gather ops
 // ---------------------------------------------------------------------------
 
-/// Sums a [N, C, T] batch over N -> [C, T].
-Variable SumBatch(const Variable& x);
-
-/// SumBatch applied independently to `blocks` stacked batches: x is
-/// [blocks*N, C, T] -> [blocks*C, T], where output rows [b*C, (b+1)*C) are
-/// SumBatch of batch items [b*N, (b+1)*N) (same item-ascending
-/// accumulation order, so blocks=1 is exactly SumBatch).
+/// Sums `blocks` stacked batches over their items: x is [blocks*N, C, T]
+/// -> [blocks*C, T], where output rows [b*C, (b+1)*C) are the item-ascending
+/// sum of batch items [b*N, (b+1)*N). blocks=1 sums a [N, C, T] batch over
+/// N -> [C, T].
 Variable SumBatchBlocks(const Variable& x, int blocks);
 
 /// Sums each row of [N, T] -> [N, 1].
@@ -135,14 +130,11 @@ Variable Reshape(const Variable& x, std::vector<int> new_shape);
 // OVS-specific fused ops
 // ---------------------------------------------------------------------------
 
-/// Builds the dynamic-attention input matrix (paper Fig. 5): for link m and
-/// time t, row m*T+t is [e[:, t], emb[m, :]].
-/// e: [C, T], emb: [M, De] -> [M*T, C+De].
-Variable BuildAttentionInput(const Variable& e, const Variable& emb);
-
-/// BuildAttentionInput for `blocks` stacked system embeddings sharing one
-/// embedding table: e is [blocks*C, T]; output row (b*M + m)*T + t is
-/// [e[b*C:(b+1)*C, t], emb[m, :]]. blocks=1 is exactly BuildAttentionInput.
+/// Builds the dynamic-attention input matrix (paper Fig. 5) for `blocks`
+/// stacked system embeddings sharing one embedding table: e is
+/// [blocks*C, T], emb is [M, De]; output row (b*M + m)*T + t is
+/// [e[b*C:(b+1)*C, t], emb[m, :]] -> [blocks*M*T, C+De]. With blocks=1, row
+/// m*T+t is [e[:, t], emb[m, :]].
 Variable BatchedBuildAttentionInput(const Variable& e, const Variable& emb,
                                     int blocks);
 
@@ -185,24 +177,6 @@ Variable MaskedHuberLoss(const Variable& pred, const Tensor& target,
 /// Mean of ReLU(x)^2 — penalizes positive entries only. Used for inequality
 /// auxiliary constraints (e.g., speed above the limit).
 Variable HingeSquaredLoss(const Variable& x);
-
-// ---------------------------------------------------------------------------
-// Reference-implementation switch (tests and benchmarks only)
-// ---------------------------------------------------------------------------
-
-/// Routes every op that predates the register-blocked kernel rewrite through
-/// the frozen reference implementation in nn/ops_ref.{h,cc} — the exact
-/// pre-rewrite math (naive zero-skip GEMMs, checked element access). The
-/// parity suite uses it to pin the rewrite bitwise-identical to the original;
-/// bench/micro_nn.cc uses it as the honest pre-rewrite baseline for the
-/// recovery A/B row. Ops the rewrite introduced (batched/fused variants) have
-/// no reference twin and always run the shipped implementation. Not
-/// thread-safe: flip only from single-threaded test/bench setup code, and
-/// restore to false afterwards.
-void SetReferenceOpsForTesting(bool enabled);
-
-/// True while SetReferenceOpsForTesting(true) is in effect.
-bool ReferenceOpsEnabled();
 
 }  // namespace ovs::nn
 

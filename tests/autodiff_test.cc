@@ -118,7 +118,7 @@ TEST(OpsValueTest, FixedMatMulMatchesMatMul) {
   Rng rng(3);
   Tensor a = RandT({3, 4}, &rng);
   Variable x(RandT({4, 5}, &rng));
-  Tensor fixed = FixedMatMul(a, x).value();
+  Tensor fixed = BatchedFixedMatMul(a, x, 1).value();
   Tensor learned = MatMul(Variable(a), x).value();
   for (int i = 0; i < fixed.numel(); ++i) {
     EXPECT_NEAR(fixed[i], learned[i], 1e-5);
@@ -162,7 +162,8 @@ TEST(OpsValueTest, LagAttentionShiftsByOne) {
 TEST(OpsValueTest, BuildAttentionInputLayout) {
   Tensor e({2, 3}, {1, 2, 3, 4, 5, 6});     // C=2, T=3
   Tensor emb({2, 1}, {10, 20});             // M=2, De=1
-  Tensor x = BuildAttentionInput(Variable(e), Variable(emb)).value();
+  Tensor x =
+      BatchedBuildAttentionInput(Variable(e), Variable(emb), 1).value();
   EXPECT_EQ(x.dim(0), 6);   // M*T
   EXPECT_EQ(x.dim(1), 3);   // C+De
   // Row for link 1, time 2: e[:,2] = {3, 6}, emb[1] = {20}.
@@ -233,7 +234,11 @@ TEST(GradTest, FixedMatMul) {
   Tensor a = RandT({3, 4}, &rng);
   Variable x = Param(RandT({4, 2}, &rng));
   ExpectGradientsMatch(
-      [&] { return Sum(Mul(FixedMatMul(a, x), FixedMatMul(a, x))); }, {x});
+      [&] {
+        return Sum(
+            Mul(BatchedFixedMatMul(a, x, 1), BatchedFixedMatMul(a, x, 1)));
+      },
+      {x});
 }
 
 TEST(GradTest, FixedMatMulNonSquare) {
@@ -241,7 +246,11 @@ TEST(GradTest, FixedMatMulNonSquare) {
   Tensor a = RandT({5, 2}, &rng);
   Variable x = Param(RandT({2, 7}, &rng));
   ExpectGradientsMatch(
-      [&] { return Sum(Mul(FixedMatMul(a, x), FixedMatMul(a, x))); }, {x});
+      [&] {
+        return Sum(
+            Mul(BatchedFixedMatMul(a, x, 1), BatchedFixedMatMul(a, x, 1)));
+      },
+      {x});
 }
 
 TEST(GradTest, FixedMatMulOneRow) {
@@ -249,7 +258,11 @@ TEST(GradTest, FixedMatMulOneRow) {
   Tensor a = RandT({1, 4}, &rng);
   Variable x = Param(RandT({4, 3}, &rng));
   ExpectGradientsMatch(
-      [&] { return Sum(Mul(FixedMatMul(a, x), FixedMatMul(a, x))); }, {x});
+      [&] {
+        return Sum(
+            Mul(BatchedFixedMatMul(a, x, 1), BatchedFixedMatMul(a, x, 1)));
+      },
+      {x});
 }
 
 TEST(GradTest, MatMulNonSquareAndOneRow) {
@@ -360,7 +373,7 @@ TEST(GradTest, SumBatchAndSumCols) {
   Variable x = Param(RandT({2, 3, 4}, &rng));
   ExpectGradientsMatch(
       [&] {
-        Variable y = SumBatch(x);
+        Variable y = SumBatchBlocks(x, 1);
         return Sum(Mul(y, y));
       },
       {x});
@@ -407,7 +420,7 @@ TEST(GradTest, BuildAttentionInput) {
   Tensor weight = RandT({12, 4}, &rng);
   ExpectGradientsMatch(
       [&] {
-        Variable x = BuildAttentionInput(e, emb);
+        Variable x = BatchedBuildAttentionInput(e, emb, 1);
         return Sum(Mul(MulConst(x, weight), x));
       },
       {e, emb});

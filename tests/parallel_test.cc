@@ -90,7 +90,7 @@ TEST(ParallelDeterminismTest, FixedMatMulBitwiseIdentical) {
     nn::Tensor a = nn::Tensor::RandomUniform({90, 40}, -1, 1, &rng);
     nn::Variable x(nn::Tensor::RandomUniform({40, 70}, -1, 1, &rng), true);
     x.ZeroGrad();
-    nn::Variable y = nn::FixedMatMul(a, x);
+    nn::Variable y = nn::BatchedFixedMatMul(a, x, 1);
     nn::Sum(nn::Mul(y, y)).Backward();
     return std::make_pair(y.value(), x.grad());
   };
