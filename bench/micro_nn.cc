@@ -3,6 +3,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -15,9 +19,31 @@
 #include "nn/layers.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
+#include "obs/metrics.h"
 #include "obs/session.h"
 #include "util/bench_config.h"
 #include "util/thread_pool.h"
+
+namespace {
+
+/// Heap allocations made by this process so far, counted by the replacement
+/// global operator new below. Only this bench binary replaces the
+/// allocator; the library stays uninstrumented.
+std::atomic<uint64_t> g_heap_allocs{0};
+
+}  // namespace
+
+// Kept out of line so the compiler pairs each call site's new with delete
+// rather than seeing the malloc/free inside them.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -163,6 +189,49 @@ void BM_RecoveryRestarts(benchmark::State& state) {
   state.counters["restarts"] = tc.recovery_restarts;
 }
 BENCHMARK(BM_RecoveryRestarts)->Unit(benchmark::kMillisecond);
+
+// One recovery epoch on the serve city's shapes (synthetic3x3 with the small
+// model the serve_open workload trains, one restart) on one thread, through
+// the frozen modules 2-3: generator forward, the batched TOD->volume and
+// volume->speed mappings, the MSE to an observation, and Backward. Besides
+// the time it reports the epoch's heap allocations as the run-report counter
+// `bench.recovery_epoch.heap_allocs`. An untimed warm-up epoch allocates the
+// generator's gradients first, so the count is the steady state.
+void BM_RecoveryEpoch(benchmark::State& state) {
+  SetGlobalThreads(1);
+  data::Dataset ds = data::BuildDataset(data::Synthetic3x3Config());
+  core::OvsConfig config;
+  config.lstm_hidden = 8;
+  config.speed_head_hidden = 8;
+  Rng rng(9);
+  core::OvsModel model(ds.num_od(), ds.num_links(), ds.num_intervals(),
+                       ds.incidence, config, &rng);
+  model.tod_volume().SetTrainable(false);
+  model.volume_speed().SetTrainable(false);
+  const Tensor target =
+      Tensor::Full({ds.num_links(), ds.num_intervals()}, 0.5f);
+  auto epoch = [&] {
+    model.tod_generation().ZeroGrad();
+    Variable g = model.GenerateTod();
+    Variable q = model.VolumeFromTodBatched(g, /*blocks=*/1);
+    Variable v = model.SpeedFromVolumeBatched(q, /*blocks=*/1);
+    Variable loss = MseLoss(ScalarMul(v, 1.0f / config.speed_scale), target);
+    loss.Backward();
+    return loss.value()[0];
+  };
+  benchmark::DoNotOptimize(epoch());
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    benchmark::DoNotOptimize(epoch());
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+  }
+  const uint64_t per_epoch =
+      allocs / static_cast<uint64_t>(state.iterations());
+  state.counters["heap_allocs"] = static_cast<double>(per_epoch);
+  OVS_COUNTER_ADD("bench.recovery_epoch.heap_allocs", per_epoch);
+}
+BENCHMARK(BM_RecoveryEpoch)->Unit(benchmark::kMicrosecond);
 
 void BM_AdamStep(benchmark::State& state) {
   Rng rng(4);
