@@ -89,41 +89,6 @@ std::vector<Variable> Lstm::Forward(const std::vector<Variable>& xs) const {
   return outputs;
 }
 
-Mlp::Mlp(const std::vector<int>& layer_sizes, Activation activation, Rng* rng,
-         bool activate_last)
-    : activation_(activation), activate_last_(activate_last) {
-  CHECK_GE(layer_sizes.size(), 2u);
-  for (size_t i = 0; i + 1 < layer_sizes.size(); ++i) {
-    auto layer =
-        std::make_unique<Linear>(layer_sizes[i], layer_sizes[i + 1], rng);
-    RegisterModule("fc" + std::to_string(i), layer.get());
-    layers_.push_back(std::move(layer));
-  }
-}
-
-Variable Mlp::Forward(const Variable& x) const {
-  Variable h = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    h = layers_[i]->Forward(h);
-    const bool last = (i + 1 == layers_.size());
-    if (last && !activate_last_) break;
-    switch (activation_) {
-      case Activation::kSigmoid:
-        h = Sigmoid(h);
-        break;
-      case Activation::kRelu:
-        h = Relu(h);
-        break;
-      case Activation::kTanh:
-        h = Tanh(h);
-        break;
-      case Activation::kNone:
-        break;
-    }
-  }
-  return h;
-}
-
 Embedding::Embedding(int count, int dim, Rng* rng) {
   table_ = RegisterParameter("table",
                              Tensor::RandomGaussian({count, dim}, 0.0f, 0.1f, rng));

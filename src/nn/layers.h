@@ -1,7 +1,6 @@
 #ifndef OVS_NN_LAYERS_H_
 #define OVS_NN_LAYERS_H_
 
-#include <memory>
 #include <vector>
 
 #include "nn/module.h"
@@ -75,24 +74,6 @@ class Lstm : public Module {
   Variable wxf_, whf_, bf_;
   Variable wxg_, whg_, bg_;
   Variable wxo_, who_, bo_;
-};
-
-/// Multi-layer perceptron with a uniform activation between layers
-/// (none after the last unless `activate_last`).
-class Mlp : public Module {
- public:
-  enum class Activation { kSigmoid, kRelu, kTanh, kNone };
-
-  Mlp(const std::vector<int>& layer_sizes, Activation activation, Rng* rng,
-      bool activate_last = false);
-
-  /// x: [N, layer_sizes.front()] -> [N, layer_sizes.back()].
-  Variable Forward(const Variable& x) const;
-
- private:
-  Activation activation_;
-  bool activate_last_;
-  std::vector<std::unique_ptr<Linear>> layers_;
 };
 
 /// Learned embedding table used for per-link embeddings in the attention

@@ -17,27 +17,6 @@ void Optimizer::ClipGrad(float max_abs) {
   }
 }
 
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (const Variable& p : params_) velocity_.emplace_back(p.value().shape());
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Tensor& value = params_[i].mutable_value();
-    const Tensor& grad = params_[i].mutable_grad();
-    if (momentum_ > 0.0f) {
-      Tensor& vel = velocity_[i];
-      vel.ScaleInPlace(momentum_);
-      vel.AxpyInPlace(1.0f, grad);
-      value.AxpyInPlace(-lr_, vel);
-    } else {
-      value.AxpyInPlace(-lr_, grad);
-    }
-  }
-}
-
 Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
            float eps)
     : Optimizer(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),

@@ -31,22 +31,6 @@ class Optimizer {
   std::vector<Variable> params_;
 };
 
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba, 2015) — the de-facto default for the paper's nets.
 class Adam : public Optimizer {
  public:
