@@ -235,14 +235,13 @@ Variable Sigmoid(const Variable& x) {
   for (int i = 0; i < count; ++i) {
     o[i] = 1.0f / (1.0f + std::exp(-xv[i]));
   }
-  Tensor saved = out;
-  return Variable::MakeNode(std::move(out), {x}, [saved](VariableNode& n) {
+  return Variable::MakeNode(std::move(out), {x}, [](VariableNode& n) {
     if (!n.parents[0]->requires_grad) return;
     Tensor& grad = n.parents[0]->MutableGrad();
     const int cnt = grad.numel();
     float* g = grad.data();
     const float* gr = n.grad.data();
-    const float* sv = saved.data();
+    const float* sv = n.value.data();  // the op's own output
     for (int i = 0; i < cnt; ++i) {
       g[i] += gr[i] * sv[i] * (1.0f - sv[i]);
     }
@@ -255,14 +254,13 @@ Variable Tanh(const Variable& x) {
   const float* xv = x.value().data();
   float* o = out.data();
   for (int i = 0; i < count; ++i) o[i] = std::tanh(xv[i]);
-  Tensor saved = out;
-  return Variable::MakeNode(std::move(out), {x}, [saved](VariableNode& n) {
+  return Variable::MakeNode(std::move(out), {x}, [](VariableNode& n) {
     if (!n.parents[0]->requires_grad) return;
     Tensor& grad = n.parents[0]->MutableGrad();
     const int cnt = grad.numel();
     float* g = grad.data();
     const float* gr = n.grad.data();
-    const float* sv = saved.data();
+    const float* sv = n.value.data();  // the op's own output
     for (int i = 0; i < cnt; ++i) {
       g[i] += gr[i] * (1.0f - sv[i] * sv[i]);
     }
@@ -306,12 +304,11 @@ Variable SoftmaxRows(const Variable& x) {
     }
     for (int j = 0; j < d; ++j) o[i * d + j] /= denom;
   }
-  Tensor saved = out;
-  return Variable::MakeNode(std::move(out), {x}, [saved, n, d](VariableNode& node) {
+  return Variable::MakeNode(std::move(out), {x}, [n, d](VariableNode& node) {
     if (!node.parents[0]->requires_grad) return;
     float* g = node.parents[0]->MutableGrad().data();
     const float* gr = node.grad.data();
-    const float* sv = saved.data();
+    const float* sv = node.value.data();  // the op's own output
     for (int i = 0; i < n; ++i) {
       float dot = 0.0f;
       for (int j = 0; j < d; ++j) dot += gr[i * d + j] * sv[i * d + j];
@@ -548,29 +545,25 @@ Variable ConcatFeatureList(const std::vector<Variable>& parts) {
     CHECK_EQ(p.value().dim(0), n);
     total += p.value().dim(1);
   }
-  std::vector<int> widths;
-  widths.reserve(parts.size());
-  for (const Variable& p : parts) widths.push_back(p.value().dim(1));
   Tensor out({n, total});
   {
     float* o = out.data();
     int offset = 0;
-    for (size_t k = 0; k < parts.size(); ++k) {
-      const float* pv = parts[k].value().data();
+    for (const Variable& p : parts) {
+      const int d = p.value().dim(1);
+      const float* pv = p.value().data();
       for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < widths[k]; ++j) {
-          o[i * total + offset + j] = pv[i * widths[k] + j];
-        }
+        for (int j = 0; j < d; ++j) o[i * total + offset + j] = pv[i * d + j];
       }
-      offset += widths[k];
+      offset += d;
     }
   }
   return Variable::MakeNode(
-      std::move(out), parts, [n, total, widths](VariableNode& node) {
+      std::move(out), parts, [n, total](VariableNode& node) {
         const float* gr = node.grad.data();
         int off = 0;
-        for (size_t k = 0; k < widths.size(); ++k) {
-          const int d = widths[k];
+        for (size_t k = 0; k < node.parents.size(); ++k) {
+          const int d = node.parents[k]->value.dim(1);
           if (node.parents[k]->requires_grad) {
             float* g = node.parents[k]->MutableGrad().data();
             for (int i = 0; i < n; ++i) {
@@ -749,8 +742,8 @@ Variable GatherRows(const Variable& x, const std::vector<int>& indices) {
   });
 }
 
-Variable Reshape(const Variable& x, std::vector<int> new_shape) {
-  Tensor out = x.value().Reshaped(std::move(new_shape));
+Variable Reshape(const Variable& x, const Shape& new_shape) {
+  Tensor out = x.value().Reshaped(new_shape);
   return Variable::MakeNode(std::move(out), {x}, [](VariableNode& node) {
     if (!node.parents[0]->requires_grad) return;
     Tensor& grad = node.parents[0]->MutableGrad();

@@ -124,7 +124,7 @@ Variable TileRows(const Variable& x, int repeats);
 Variable GatherRows(const Variable& x, const std::vector<int>& indices);
 
 /// Reinterprets the data with a new shape of equal numel.
-Variable Reshape(const Variable& x, std::vector<int> new_shape);
+Variable Reshape(const Variable& x, const Shape& new_shape);
 
 // ---------------------------------------------------------------------------
 // OVS-specific fused ops

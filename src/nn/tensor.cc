@@ -6,7 +6,7 @@
 
 namespace ovs::nn {
 
-int ShapeNumel(const std::vector<int>& shape) {
+int ShapeNumel(const Shape& shape) {
   if (shape.empty()) return 0;
   int n = 1;
   for (int d : shape) {
@@ -16,10 +16,10 @@ int ShapeNumel(const std::vector<int>& shape) {
   return n;
 }
 
-std::string ShapeToString(const std::vector<int>& shape) {
+std::string ShapeToString(const Shape& shape) {
   std::ostringstream os;
   os << "[";
-  for (size_t i = 0; i < shape.size(); ++i) {
+  for (int i = 0; i < shape.size(); ++i) {
     if (i > 0) os << ", ";
     os << shape[i];
   }
@@ -27,38 +27,37 @@ std::string ShapeToString(const std::vector<int>& shape) {
   return os.str();
 }
 
-Tensor::Tensor(std::vector<int> shape)
-    : shape_(std::move(shape)),
-      data_(static_cast<size_t>(ShapeNumel(shape_)), 0.0f) {}
+Tensor::Tensor(const Shape& shape)
+    : shape_(shape), data_(static_cast<size_t>(ShapeNumel(shape_)), 0.0f) {}
 
-Tensor::Tensor(std::vector<int> shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
+Tensor::Tensor(const Shape& shape, std::vector<float> data)
+    : shape_(shape), data_(std::move(data)) {
   CHECK_EQ(static_cast<size_t>(ShapeNumel(shape_)), data_.size())
       << "shape " << ShapeToString(shape_) << " does not match data size";
 }
 
 Tensor Tensor::Scalar(float value) { return Tensor({1}, {value}); }
 
-Tensor Tensor::Full(std::vector<int> shape, float value) {
-  Tensor t(std::move(shape));
+Tensor Tensor::Full(const Shape& shape, float value) {
+  Tensor t(shape);
   t.Fill(value);
   return t;
 }
 
-Tensor Tensor::RandomUniform(std::vector<int> shape, float lo, float hi,
+Tensor Tensor::RandomUniform(const Shape& shape, float lo, float hi,
                              Rng* rng) {
   CHECK(rng != nullptr);
-  Tensor t(std::move(shape));
+  Tensor t(shape);
   for (int i = 0; i < t.numel(); ++i) {
     t[i] = static_cast<float>(rng->Uniform(lo, hi));
   }
   return t;
 }
 
-Tensor Tensor::RandomGaussian(std::vector<int> shape, float mean, float stddev,
+Tensor Tensor::RandomGaussian(const Shape& shape, float mean, float stddev,
                               Rng* rng) {
   CHECK(rng != nullptr);
-  Tensor t(std::move(shape));
+  Tensor t(shape);
   for (int i = 0; i < t.numel(); ++i) {
     t[i] = static_cast<float>(rng->Gaussian(mean, stddev));
   }
@@ -117,11 +116,11 @@ bool Tensor::AllFinite() const {
   return true;
 }
 
-Tensor Tensor::Reshaped(std::vector<int> new_shape) const {
+Tensor Tensor::Reshaped(const Shape& new_shape) const {
   CHECK_EQ(ShapeNumel(new_shape), numel())
       << "Reshape " << ShapeToString(shape_) << " -> "
       << ShapeToString(new_shape);
-  return Tensor(std::move(new_shape), data_);
+  return Tensor(new_shape, data_);
 }
 
 std::string Tensor::ToString() const {

@@ -1,6 +1,8 @@
 #ifndef OVS_NN_TENSOR_H_
 #define OVS_NN_TENSOR_H_
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <initializer_list>
 #include <string>
@@ -11,34 +13,72 @@
 
 namespace ovs::nn {
 
-/// Dense row-major float tensor of rank 0..3. This is the only numeric
-/// container in the autodiff layer; shapes are checked eagerly with CHECKs
-/// because shape bugs are programmer errors, not recoverable conditions.
+/// A tensor's dimensions, stored inline so a shape costs no heap allocation.
+/// Holds at most kMaxRank dims (checkpoints accept rank 4); a longer shape
+/// CHECK-fails. Converts implicitly from a braced list or a
+/// std::vector<int>, and back with ToVector().
+class Shape {
+ public:
+  static constexpr int kMaxRank = 4;
+
+  Shape() = default;
+  Shape(std::initializer_list<int> dims) { Assign(dims.begin(), dims.size()); }
+  Shape(const std::vector<int>& dims) { Assign(dims.data(), dims.size()); }
+
+  int size() const { return rank_; }
+  bool empty() const { return rank_ == 0; }
+  int operator[](int i) const { return dims_[i]; }
+  const int* begin() const { return dims_.data(); }
+  const int* end() const { return dims_.data() + rank_; }
+
+  std::vector<int> ToVector() const { return std::vector<int>(begin(), end()); }
+
+  friend bool operator==(const Shape& a, const Shape& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  void Assign(const int* dims, size_t rank) {
+    CHECK_LE(rank, static_cast<size_t>(kMaxRank))
+        << "tensor rank " << rank << " exceeds the inline shape capacity";
+    rank_ = static_cast<int>(rank);
+    std::copy(dims, dims + rank, dims_.begin());
+  }
+
+  std::array<int, kMaxRank> dims_{};
+  int rank_ = 0;
+};
+
+/// Dense row-major float tensor of rank 0..Shape::kMaxRank. This is the only
+/// numeric container in the autodiff layer; shapes are checked eagerly with
+/// CHECKs because shape bugs are programmer errors, not recoverable
+/// conditions. The shape is inline, so a tensor's one allocation is its
+/// data.
 class Tensor {
  public:
   /// Empty (rank-0, zero elements) tensor.
   Tensor() = default;
 
   /// Zero-initialized tensor of the given shape.
-  explicit Tensor(std::vector<int> shape);
+  explicit Tensor(const Shape& shape);
 
   /// Tensor with explicit contents; `data.size()` must match the shape.
-  Tensor(std::vector<int> shape, std::vector<float> data);
+  Tensor(const Shape& shape, std::vector<float> data);
 
   /// Rank-0 "scalar" tensor (shape {1}).
   static Tensor Scalar(float value);
 
   /// All-zeros / all-`value` tensors.
-  static Tensor Zeros(std::vector<int> shape) { return Tensor(std::move(shape)); }
-  static Tensor Full(std::vector<int> shape, float value);
+  static Tensor Zeros(const Shape& shape) { return Tensor(shape); }
+  static Tensor Full(const Shape& shape, float value);
 
   /// I.i.d. uniform / Gaussian fills (deterministic given `rng`).
-  static Tensor RandomUniform(std::vector<int> shape, float lo, float hi, Rng* rng);
-  static Tensor RandomGaussian(std::vector<int> shape, float mean, float stddev,
+  static Tensor RandomUniform(const Shape& shape, float lo, float hi, Rng* rng);
+  static Tensor RandomGaussian(const Shape& shape, float mean, float stddev,
                                Rng* rng);
 
-  const std::vector<int>& shape() const { return shape_; }
-  int rank() const { return static_cast<int>(shape_.size()); }
+  const Shape& shape() const { return shape_; }
+  int rank() const { return shape_.size(); }
   int dim(int i) const {
     CHECK_GE(i, 0);
     CHECK_LT(i, rank());
@@ -109,21 +149,21 @@ class Tensor {
   bool AllFinite() const;
 
   /// Returns a tensor with the same data but a new shape of equal numel.
-  Tensor Reshaped(std::vector<int> new_shape) const;
+  Tensor Reshaped(const Shape& new_shape) const;
 
   /// Debug string: shape plus (for small tensors) the contents.
   std::string ToString() const;
 
  private:
-  std::vector<int> shape_;
+  Shape shape_;
   std::vector<float> data_;
 };
 
 /// Number of elements implied by a shape (product of dims; 0 for empty shape).
-int ShapeNumel(const std::vector<int>& shape);
+int ShapeNumel(const Shape& shape);
 
 /// "[2, 3]"-style rendering for error messages.
-std::string ShapeToString(const std::vector<int>& shape);
+std::string ShapeToString(const Shape& shape);
 
 }  // namespace ovs::nn
 

@@ -1,10 +1,18 @@
 #include "nn/variable.h"
 
-#include <unordered_set>
+#include <atomic>
 
 #include "obs/trace.h"
 
 namespace ovs::nn {
+
+namespace {
+
+/// Source of Backward's visit stamps. A process-wide counter, so calls on
+/// different threads never share a stamp.
+std::atomic<uint64_t> g_next_visit_stamp{1};
+
+}  // namespace
 
 Variable::Variable(Tensor value, bool requires_grad)
     : node_(std::make_shared<internal::VariableNode>()) {
@@ -12,9 +20,9 @@ Variable::Variable(Tensor value, bool requires_grad)
   node_->requires_grad = requires_grad;
 }
 
-Variable Variable::MakeNode(
-    Tensor value, const std::vector<Variable>& parents,
-    std::function<void(internal::VariableNode&)> backward_fn) {
+template <typename Parents>
+Variable Variable::MakeNodeFrom(Tensor value, const Parents& parents,
+                                BackwardFn backward_fn) {
   Variable out(std::move(value), /*requires_grad=*/false);
   bool any_grad = false;
   out.node_->parents.reserve(parents.size());
@@ -28,30 +36,47 @@ Variable Variable::MakeNode(
   return out;
 }
 
+Variable Variable::MakeNode(
+    Tensor value,
+    std::initializer_list<std::reference_wrapper<const Variable>> parents,
+    BackwardFn backward_fn) {
+  return MakeNodeFrom(std::move(value), parents, std::move(backward_fn));
+}
+
+Variable Variable::MakeNode(Tensor value, const std::vector<Variable>& parents,
+                            BackwardFn backward_fn) {
+  return MakeNodeFrom(std::move(value), parents, std::move(backward_fn));
+}
+
 void Variable::Backward() const {
   OVS_TRACE_SCOPE("nn.backward");
-  auto root = node();
+  internal::VariableNode* root = node();
   CHECK_EQ(root->value.numel(), 1) << "Backward requires a scalar output";
 
   // Iterative post-order DFS to get a topological order (parents before
-  // children in `order`); we then sweep it in reverse.
+  // children in `order`); we then sweep it in reverse. A node is marked
+  // visited by writing this call's stamp into it; frozen nodes
+  // (requires_grad false) are never visited, so concurrent calls over
+  // graphs that share only frozen nodes write disjoint memory.
+  const uint64_t stamp =
+      g_next_visit_stamp.fetch_add(1, std::memory_order_relaxed);
   std::vector<internal::VariableNode*> order;
-  std::unordered_set<internal::VariableNode*> visited;
   struct Frame {
     internal::VariableNode* node;
     size_t next_parent;
   };
   std::vector<Frame> stack;
   if (root->requires_grad || root->backward_fn) {
-    stack.push_back({root.get(), 0});
-    visited.insert(root.get());
+    stack.push_back({root, 0});
+    root->visit_stamp = stamp;
   }
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       internal::VariableNode* parent =
           frame.node->parents[frame.next_parent++].get();
-      if (parent->requires_grad && visited.insert(parent).second) {
+      if (parent->requires_grad && parent->visit_stamp != stamp) {
+        parent->visit_stamp = stamp;
         stack.push_back({parent, 0});
       }
     } else {

@@ -1,7 +1,9 @@
 #ifndef OVS_NN_VARIABLE_H_
 #define OVS_NN_VARIABLE_H_
 
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -18,6 +20,9 @@ struct VariableNode {
   Tensor value;
   Tensor grad;  // allocated lazily on first backward touch
   bool requires_grad = false;
+  /// Stamp of the last Backward call that visited this node. Every call
+  /// draws a fresh stamp, so one left by an earlier call never matches.
+  uint64_t visit_stamp = 0;
   std::vector<std::shared_ptr<VariableNode>> parents;
   /// Given this node (with grad populated), accumulates into parents' grads.
   std::function<void(VariableNode&)> backward_fn;
@@ -60,7 +65,7 @@ class Variable {
     node()->requires_grad = requires_grad;
   }
 
-  const std::vector<int>& shape() const { return value().shape(); }
+  const Shape& shape() const { return value().shape(); }
   int numel() const { return value().numel(); }
 
   /// Resets this node's gradient to zeros (allocating if needed).
@@ -72,18 +77,28 @@ class Variable {
   /// freed with the graph).
   void Backward() const;
 
-  /// Low-level constructor used by ops: creates an interior node.
-  static Variable MakeNode(Tensor value,
-                           const std::vector<Variable>& parents,
-                           std::function<void(internal::VariableNode&)> backward_fn);
+  using BackwardFn = std::function<void(internal::VariableNode&)>;
+
+  /// Low-level constructor used by ops: creates an interior node. The
+  /// braced-list form (`{a, b}`) refers to its parents without copying them.
+  static Variable MakeNode(
+      Tensor value,
+      std::initializer_list<std::reference_wrapper<const Variable>> parents,
+      BackwardFn backward_fn);
+  static Variable MakeNode(Tensor value, const std::vector<Variable>& parents,
+                           BackwardFn backward_fn);
 
   /// Identity of the underlying node (for tests / deduplication).
   const internal::VariableNode* raw() const { return node_.get(); }
 
  private:
-  std::shared_ptr<internal::VariableNode> node() const {
+  template <typename Parents>
+  static Variable MakeNodeFrom(Tensor value, const Parents& parents,
+                               BackwardFn backward_fn);
+
+  internal::VariableNode* node() const {
     CHECK(node_ != nullptr) << "use of undefined Variable";
-    return node_;
+    return node_.get();
   }
 
   std::shared_ptr<internal::VariableNode> node_;

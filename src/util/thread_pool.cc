@@ -28,7 +28,7 @@ struct ParallelRegion {
   int64_t end = 0;
   int64_t grain = 1;
   int64_t num_chunks = 0;
-  const std::function<void(int64_t, int64_t)>* fn = nullptr;
+  const ChunkFn* fn = nullptr;
 
   std::atomic<int64_t> next_chunk{0};
   std::atomic<int64_t> done_chunks{0};
@@ -76,8 +76,12 @@ int DefaultThreadCount() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+/// The global pool. `g_pool` is what GlobalThreadPool() reads without a
+/// lock; `g_pool_owner` keeps it alive, and g_pool_mu serializes creating
+/// and replacing it.
 std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;  // guarded by g_pool_mu
+std::unique_ptr<ThreadPool> g_pool_owner;  // guarded by g_pool_mu
+std::atomic<ThreadPool*> g_pool{nullptr};
 
 }  // namespace
 
@@ -130,7 +134,7 @@ ThreadPool::Stats ThreadPool::stats() const {
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                             const std::function<void(int64_t, int64_t)>& fn) {
+                             ChunkFn fn) {
   if (end <= begin) return;
   parallel_fors_.fetch_add(1, std::memory_order_relaxed);
   grain = std::max<int64_t>(1, grain);
@@ -180,22 +184,29 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
 }
 
 ThreadPool* GlobalThreadPool() {
+  if (ThreadPool* pool = g_pool.load(std::memory_order_acquire)) return pool;
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (g_pool == nullptr) g_pool = std::make_unique<ThreadPool>(DefaultThreadCount());
-  return g_pool.get();
+  if (g_pool_owner == nullptr) {
+    g_pool_owner = std::make_unique<ThreadPool>(DefaultThreadCount());
+    g_pool.store(g_pool_owner.get(), std::memory_order_release);
+  }
+  return g_pool_owner.get();
 }
 
 void SetGlobalThreads(int num_threads) {
   CHECK_GE(num_threads, 1);
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (g_pool != nullptr && g_pool->num_threads() == num_threads) return;
-  g_pool = std::make_unique<ThreadPool>(num_threads);
+  if (g_pool_owner != nullptr && g_pool_owner->num_threads() == num_threads) {
+    return;
+  }
+  auto pool = std::make_unique<ThreadPool>(num_threads);
+  g_pool.store(pool.get(), std::memory_order_release);
+  g_pool_owner = std::move(pool);  // joins and frees the old pool
 }
 
 int GlobalThreadCount() { return GlobalThreadPool()->num_threads(); }
 
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
+void ParallelFor(int64_t begin, int64_t end, int64_t grain, ChunkFn fn) {
   GlobalThreadPool()->ParallelFor(begin, end, grain, fn);
 }
 

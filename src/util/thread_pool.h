@@ -6,11 +6,35 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace ovs {
+
+/// The body ParallelFor applies to each chunk [lo, hi): a non-owning
+/// reference to a callable, two words that never allocate. The callable must
+/// outlive the call it is passed to; a lambda written in the argument list
+/// does.
+class ChunkFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ChunkFn> &&
+             std::is_invocable_v<F&, int64_t, int64_t>)
+  ChunkFn(F&& f)  // implicit, so call sites pass lambdas directly
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, int64_t lo, int64_t hi) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(lo, hi);
+        }) {}
+
+  void operator()(int64_t lo, int64_t hi) const { call_(obj_, lo, hi); }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, int64_t, int64_t);
+};
 
 /// Fixed-size worker pool backing ParallelFor. A pool of size N provides
 /// N-way parallelism: N-1 resident workers plus the calling thread, which
@@ -58,10 +82,10 @@ class ThreadPool {
   /// Runs inline (one call with the full range) when the range fits in a
   /// single chunk, when the pool is serial, or when called from inside
   /// another ParallelFor on this pool (nested calls degrade to serial
-  /// instead of deadlocking). The first exception thrown by `fn` is
-  /// rethrown on the calling thread after all chunks have drained.
-  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                   const std::function<void(int64_t, int64_t)>& fn);
+  /// instead of deadlocking); an inline call allocates nothing and takes
+  /// no lock. The first exception thrown by `fn` is rethrown on the
+  /// calling thread after all chunks have drained.
+  void ParallelFor(int64_t begin, int64_t end, int64_t grain, ChunkFn fn);
 
  private:
   void WorkerMain();
@@ -80,7 +104,8 @@ class ThreadPool {
 
 /// Process-wide pool used by the nn ops, the trainer, the simulator, and the
 /// eval harness. Sized on first use from OVS_NUM_THREADS if set (>= 1), else
-/// std::thread::hardware_concurrency().
+/// std::thread::hardware_concurrency(). After the first call this is one
+/// atomic load.
 ThreadPool* GlobalThreadPool();
 
 /// Replaces the global pool with one of the given size (>= 1). Not safe to
@@ -91,8 +116,7 @@ void SetGlobalThreads(int num_threads);
 int GlobalThreadCount();
 
 /// ParallelFor on the global pool.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
+void ParallelFor(int64_t begin, int64_t end, int64_t grain, ChunkFn fn);
 
 }  // namespace ovs
 

@@ -522,6 +522,28 @@ TEST(BackwardTest, ReusedNodeGradientIsCorrect) {
   EXPECT_NEAR(x.grad()[0], 8.0f, 1e-6);
 }
 
+TEST(BackwardTest, LaterBackwardRevisitsSharedInteriorNode) {
+  // The second graph is built after the first Backward and shares its
+  // interior node h and its root `first`; visit marks left by the first
+  // call must not hide them from the second.
+  Variable x(Tensor({1}, {2.0f}), true);
+  x.ZeroGrad();
+  Variable h = ScalarMul(x, 3.0f);  // h = 6
+  Variable first = Sum(h);
+  first.Backward();
+  EXPECT_EQ(h.grad()[0], 1.0f);
+  EXPECT_EQ(x.grad()[0], 3.0f);
+
+  x.ZeroGrad();
+  h.ZeroGrad();
+  first.ZeroGrad();
+  // d/dh (h*h + 2*sum(h)) = 2h + 2 = 14, and dh/dx = 3.
+  Sum(Add(Mul(h, h), ScalarMul(first, 2.0f))).Backward();
+  EXPECT_EQ(h.grad()[0], 14.0f);
+  EXPECT_EQ(first.grad()[0], 2.0f);
+  EXPECT_EQ(x.grad()[0], 42.0f);
+}
+
 TEST(BackwardTest, SetRequiresGradTakesEffectOnNewGraphs) {
   Variable x(Tensor({1}, {2.0f}), true);
   x.ZeroGrad();
