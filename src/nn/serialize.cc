@@ -71,7 +71,9 @@ Status ReadTensorRecord(std::istream& is, const std::string& path,
   RETURN_IF_ERROR(ReadLenPrefixedString(is, path, remaining, kMaxNameLen, name));
   uint32_t rank = 0;
   RETURN_IF_ERROR(ReadPod(is, path, remaining, &rank, sizeof(rank)));
-  if (rank > 4) return Status::DataLoss("corrupt tensor rank in " + path);
+  if (rank > static_cast<uint32_t>(Shape::kMaxRank)) {
+    return Status::DataLoss("corrupt tensor rank in " + path);
+  }
   std::vector<int> shape(rank);
   // Element count in int64 so four maximal dims cannot overflow the int
   // arithmetic that Tensor uses internally; the remaining-file-size bound is
